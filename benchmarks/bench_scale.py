@@ -93,7 +93,7 @@ def payload_measurements(documents: list[Document], directory: str) -> dict:
     }
 
 
-def run_index_measurements(n_docs: int, n_shards: int, seed: int) -> dict:
+def run_index_measurements(n_docs: int, seed: int) -> dict:
     documents = synthetic_documents(n_docs, seed=seed)
 
     # What every run used to pay: a from-scratch in-memory build.
@@ -104,18 +104,13 @@ def run_index_measurements(n_docs: int, n_shards: int, seed: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-bench-scale-") as root:
         store = IndexStore(f"{root}/store")
         cold_at = time.perf_counter()
-        built = store.load_or_build(
-            documents,
-            n_shards=n_shards,
-            n_workers=2,
-            build_backend="process",
-        )
+        built = store.load_or_build(documents)
         cold_seconds = time.perf_counter() - cold_at
         assert built.fingerprint() == rebuilt.fingerprint()
 
         # Warm path: fingerprint the documents, mmap-open the arrays.
         reopen_at = time.perf_counter()
-        reopened = store.load_or_build(documents, n_shards=n_shards)
+        reopened = store.load_or_build(documents)
         reopen_seconds = time.perf_counter() - reopen_at
         assert reopened.fingerprint() == rebuilt.fingerprint()
 
@@ -129,7 +124,6 @@ def run_index_measurements(n_docs: int, n_shards: int, seed: int) -> dict:
     return {
         "n_documents": n_docs,
         "n_tokens": rebuilt.n_tokens(),
-        "n_shards": n_shards,
         "rebuild_seconds": rebuild_seconds,
         "build_and_persist_seconds": cold_seconds,
         "mmap_reopen_seconds": reopen_seconds,
@@ -180,7 +174,6 @@ def test_index_scale(benchmark, scale):
         benchmark,
         run_index_measurements,
         n_docs=n_docs,
-        n_shards=4,
         seed=23,
     )
     reopen_speedup = result["rebuild_seconds"] / max(

@@ -1,7 +1,9 @@
 """Continuous enrichment: documents arrive, deltas come back.
 
-`streaming_enrichment.py` showed that the *index* absorbs new documents
-in O(new tokens).  This example closes the loop on the *pipeline*:
+Production corpora are document streams, not snapshots.  ``Corpus.add``
+extends the cached positional index in place (O(new tokens) via
+:meth:`~repro.corpus.index.CorpusIndex.add_documents`) instead of
+rebuilding it.  On top of that,
 :class:`~repro.workflow.streaming.StreamingEnricher` keeps the baseline
 report, and each call to ``add_documents`` runs a **delta
 re-enrichment** — only terms whose postings actually changed are
@@ -48,6 +50,7 @@ def main(n_concepts: int = 25, docs_per_concept: int = 5) -> None:
     )
 
     baseline = streamer.baseline()
+    index = scenario.corpus.index()
     print(f"Baseline over {scenario.corpus.n_documents()} documents: "
           f"{len(baseline.terms)} report rows")
 
@@ -57,6 +60,9 @@ def main(n_concepts: int = 25, docs_per_concept: int = 5) -> None:
         [Document("arrival-quiet", [["zzqx", "wwvk", "ggph", "zzqx"]])]
     )
     print_delta("quiet", quiet)
+    extended = scenario.corpus.index() is index
+    print(f"    index extended in place, not rebuilt: {extended} "
+          f"({index.n_documents()} documents indexed)")
 
     # A loud arrival mentions a known term, so exactly that term's
     # postings change and only its vectors are re-featurised.
@@ -76,6 +82,7 @@ def main(n_concepts: int = 25, docs_per_concept: int = 5) -> None:
     print(f"\nreplayed diffs reconstruct the live report: {same}")
     print(f"fingerprint chain: {quiet.base_fingerprint[:8]} -> "
           f"{quiet.fingerprint[:8]} -> {loud.fingerprint[:8]}")
+    assert extended, "Corpus.add must extend the cached index, not drop it"
     assert quiet.n_recomputed == 0, "a quiet arrival must recompute nothing"
     assert same, "diff replay must reconstruct the live report"
 

@@ -35,7 +35,6 @@ def enrich(scenario, **config_fields):
 def main(
     n_concepts: int = 30,
     docs_per_concept: int = 5,
-    n_shards: int = 2,
     n_workers: int = 2,
 ) -> None:
     scenario = make_enrichment_scenario(
@@ -48,19 +47,17 @@ def main(
     print(f"corpus: {corpus.n_documents()} documents, "
           f"{corpus.n_tokens():,} tokens")
 
-    # Cold: build the sharded index and persist every shard.
+    # Cold: build the index and persist it.
     started = time.perf_counter()
-    built = store.load_or_build(corpus, n_shards=n_shards,
-                                n_workers=n_workers)
+    built = store.load_or_build(corpus)
     build_seconds = time.perf_counter() - started
     print(f"cold : build + persist {build_seconds:.3f}s "
-          f"(fingerprint {built.fingerprint()[:12]}, "
-          f"{built.n_shards} shard(s))")
+          f"(fingerprint {built.fingerprint()[:12]})")
 
     # Warm: the same call now only fingerprints the documents and
     # mmap-reopens the stored arrays — no tokens are re-indexed.
     started = time.perf_counter()
-    reopened = store.load_or_build(corpus, n_shards=n_shards)
+    reopened = store.load_or_build(corpus)
     reopen_seconds = time.perf_counter() - started
     print(f"warm : mmap reopen     {reopen_seconds:.3f}s — "
           f"{build_seconds / max(reopen_seconds, 1e-9):.1f}x faster")
@@ -82,7 +79,6 @@ def main(
     stored = enrich(
         scenario,
         index_dir=index_dir,
-        index_shards=n_shards,
         worker_backend="process",
         n_workers=n_workers,
     )

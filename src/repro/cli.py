@@ -27,7 +27,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.clustering.community import COMMUNITY_BACKEND_NAMES
 from repro.corpus.io import read_corpus_jsonl, write_corpus_jsonl
 from repro.extraction.measures import MEASURE_NAMES
 from repro.text.stopwords import SUPPORTED_LANGUAGES
@@ -81,8 +80,6 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
         max_contexts_per_term=args.max_contexts,
         n_workers=args.workers,
         worker_backend=args.worker_backend,
-        community_backend=args.community_backend,
-        index_shards=args.index_shards,
         index_dir=args.index_dir,
         feature_cache=not args.no_feature_cache,
         cache_dir=args.cache_dir,
@@ -173,12 +170,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     corpus = read_corpus_jsonl(args.corpus)
     store = IndexStore(args.index_dir)
     started = time.perf_counter()
-    index = store.load_or_build(
-        corpus,
-        n_shards=args.shards,
-        n_workers=args.workers,
-        build_backend=args.build_backend,
-    )
+    index = store.load_or_build(corpus)
     elapsed = time.perf_counter() - started
     fingerprint = index.fingerprint()
     stored = store.path_for(fingerprint).is_dir()
@@ -189,7 +181,6 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
                 ["fingerprint", fingerprint],
                 ["documents", index.n_documents()],
                 ["tokens", index.n_tokens()],
-                ["shards", getattr(index, "n_shards", 1)],
                 ["stored", "yes" if stored else "no (store unwritable)"],
                 ["seconds", f"{elapsed:.3f}"],
             ],
@@ -224,14 +215,13 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
         print()
         print(
             format_table(
-                ["fingerprint", "kind", "docs", "tokens", "shards", "bytes"],
+                ["fingerprint", "kind", "docs", "tokens", "bytes"],
                 [
                     [
                         g["fingerprint"][:12],
                         g["kind"],
                         g.get("n_documents", "-"),
                         g.get("n_tokens", "-"),
-                        g.get("n_shards", "-"),
                         g["bytes"],
                     ]
                     for g in generations
@@ -241,11 +231,16 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
         )
         for g in generations:
             if g["kind"] == "corrupt":
-                print(
-                    f"warning: {g['fingerprint'][:12]} is corrupt "
-                    f"({g['error']}); the next build will replace it",
-                    file=sys.stderr,
-                )
+                reason = f"is corrupt ({g['error']})"
+            elif g["kind"] != "single":
+                reason = f"has the retired {g['kind']!r} layout"
+            else:
+                continue
+            print(
+                f"warning: {g['fingerprint'][:12]} {reason}; "
+                "the next build will replace it",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -670,16 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool kind (process escapes the GIL)",
     )
     enrich.add_argument(
-        "--community-backend", choices=COMMUNITY_BACKEND_NAMES,
-        default=COMMUNITY_BACKEND_NAMES[0],
-        help="Step II community detection (louvain = native fast path)",
-    )
-    enrich.add_argument(
-        "--index-shards", type=int, default=1,
-        help="corpus index partitions (>1 builds a sharded index; "
-        "results are identical across shard counts)",
-    )
-    enrich.add_argument(
         "--index-dir", default=None,
         help="persist the corpus index here (repro.corpus.index_store); "
         "later runs mmap-reopen it in O(1) instead of rebuilding",
@@ -748,18 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="corpus JSONL path")
     index_build.add_argument("--index-dir", required=True,
                              help="index store root directory")
-    index_build.add_argument(
-        "--shards", type=int, default=1,
-        help="index partitions (>1 persists a sharded index)",
-    )
-    index_build.add_argument(
-        "--workers", type=int, default=1,
-        help="workers for a sharded build",
-    )
-    index_build.add_argument(
-        "--build-backend", choices=("thread", "process"), default="process",
-        help="shard-build pool kind (process escapes the GIL)",
-    )
     index_build.set_defaults(fn=_cmd_index_build)
     index_inspect = index_sub.add_parser(
         "inspect",

@@ -1,11 +1,11 @@
 """Graph-partitioning clustering: CLUTO's ``graph`` method.
 
 Builds the object nearest-neighbour similarity graph and partitions it:
-communities are found by modularity maximisation (the shared
-:mod:`repro.clustering.community` backend, native Louvain by default),
-then adjusted to exactly k clusters — extra communities are merged by
-highest inter-community average similarity, missing ones are created by
-bisecting the loosest cluster.
+communities are found by modularity maximisation (the native Louvain
+optimiser of :mod:`repro.clustering.louvain`), then adjusted to exactly
+k clusters — extra communities are merged by highest inter-community
+average similarity, missing ones are created by bisecting the loosest
+cluster.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from repro.clustering.community import CommunityBackend, get_community_backend
 from repro.clustering.kmeans import spherical_kmeans
+from repro.clustering.louvain import louvain_communities
 from repro.clustering.model import ClusterSolution, relabel_contiguous
 from repro.clustering.similarity import cosine_similarity_matrix
 from repro.errors import ClusteringError
@@ -55,7 +55,6 @@ def graph_cluster(
     *,
     n_neighbors: int = 10,
     seed: int | np.random.Generator | None = None,
-    backend: str | CommunityBackend = "louvain",
 ) -> ClusterSolution:
     """Cluster rows of ``matrix`` into ``k`` groups via graph partitioning.
 
@@ -68,11 +67,8 @@ def graph_cluster(
     n_neighbors:
         Nearest-neighbour count of the similarity graph.
     seed:
-        RNG seed (community detection when the backend is seedable, and
-        splitting clusters to reach k).
-    backend:
-        Community-detection backend (``"louvain"`` native default,
-        ``"greedy"`` networkx fallback).
+        RNG seed (community detection, and splitting clusters to reach
+        k).
     """
     sims = cosine_similarity_matrix(matrix)
     n = sims.shape[0]
@@ -81,9 +77,7 @@ def graph_cluster(
     rng = ensure_rng(seed)
 
     graph = build_knn_graph(sims, n_neighbors=min(n_neighbors, n - 1))
-    communities = get_community_backend(backend).communities(
-        graph, weight="weight", seed=rng
-    )
+    communities = louvain_communities(graph, seed=rng)
     labels = np.zeros(n, dtype=np.int64)
     for cid, community in enumerate(communities):
         for node in community:

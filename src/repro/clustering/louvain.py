@@ -14,6 +14,8 @@ Louvain method (Blondel et al. 2008) directly on flat numpy CSR arrays:
 * :func:`louvain_labels` — the two-phase local-move + aggregation
   optimiser, deterministic for a fixed ``seed`` (node visit order is a
   seeded permutation, ties keep the incumbent community);
+* :func:`louvain_communities` — the same optimiser over a networkx
+  graph, returning node sets largest first;
 * :func:`modularity_from_labels` — the Newman-Girvan modularity of a
   labelling, matching ``networkx.algorithms.community.modularity``.
 
@@ -469,6 +471,29 @@ def louvain_labels(
             break  # no merge happened; a further level cannot help
         level_graph = _aggregate(level_graph, level_labels)
     return _relabel_first_seen(labels)
+
+
+def louvain_communities(
+    graph, *, seed: int | np.random.Generator | None = 0
+) -> list[set]:
+    """Node communities of a ``"weight"``-weighted networkx ``graph``.
+
+    Runs :func:`louvain_labels` on the graph's CSR form.  Communities
+    come largest first, ties broken by the earliest node in
+    ``graph.nodes`` order, so the list is stable for a fixed seed.
+    """
+    nodes = list(graph.nodes())
+    if not nodes:
+        return []
+    labels = louvain_labels(CSRGraph.from_networkx(graph), seed=seed)
+    groups: dict[int, set] = {}
+    for node, label in zip(nodes, labels, strict=True):
+        groups.setdefault(int(label), set()).add(node)
+    first_seen = {node: i for i, node in enumerate(nodes)}
+    return sorted(
+        groups.values(),
+        key=lambda c: (-len(c), min(first_seen[node] for node in c)),
+    )
 
 
 def modularity_from_labels(

@@ -37,13 +37,10 @@ class PolysemyFeatureExtractor:
     feature_set:
         ``"all"`` (23), ``"direct"`` (11), or ``"graph"`` (12) — the A3
         ablation knob.
-    community_backend:
-        Community-detection backend for the graph features
-        (``"louvain"`` native default, ``"greedy"`` networkx fallback —
-        see :mod:`repro.clustering.community`).
     community_seed:
-        Seed for seedable community backends (fixed by default so
-        repeated extraction is deterministic).
+        Seed of the Louvain community detection behind the graph
+        features (fixed by default so repeated extraction is
+        deterministic).
     """
 
     def __init__(
@@ -52,7 +49,6 @@ class PolysemyFeatureExtractor:
         window: int = 10,
         graph_window: int = 4,
         feature_set: str = "all",
-        community_backend: str = "louvain",
         community_seed: int = 0,
     ) -> None:
         if feature_set not in ("all", "direct", "graph"):
@@ -62,7 +58,6 @@ class PolysemyFeatureExtractor:
         self.window = window
         self.graph_window = graph_window
         self.feature_set = feature_set
-        self.community_backend = community_backend
         self.community_seed = community_seed
 
     def fingerprint(self) -> str:
@@ -71,11 +66,14 @@ class PolysemyFeatureExtractor:
         The config component of feature-cache keys
         (:mod:`repro.polysemy.cache`): two extractors with equal
         fingerprints produce identical vectors from identical contexts.
+        The community field is a constant (Louvain is the only
+        detector): it keeps keys byte-identical to cache generations
+        written when a second detector existed, so they stay warm.
         """
         return (
             f"window={self.window};graph_window={self.graph_window};"
             f"feature_set={self.feature_set};"
-            f"community_backend={self.community_backend};"
+            "community_backend=louvain;"
             f"community_seed={self.community_seed}"
         )
 
@@ -108,13 +106,7 @@ class PolysemyFeatureExtractor:
             )
         if self.feature_set in ("all", "graph"):
             graph = build_context_graph(contexts, window=self.graph_window)
-            parts.append(
-                graph_features(
-                    graph,
-                    backend=self.community_backend,
-                    seed=self.community_seed,
-                )
-            )
+            parts.append(graph_features(graph, seed=self.community_seed))
         return np.concatenate(parts)
 
     def features_from_corpus(

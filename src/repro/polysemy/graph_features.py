@@ -19,8 +19,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 
-from repro.clustering.community import CommunityBackend, get_community_backend
-from repro.clustering.louvain import CSRGraph, modularity_from_labels
+from repro.clustering.louvain import (
+    CSRGraph,
+    louvain_labels,
+    modularity_from_labels,
+)
 
 #: Feature names in vector order.
 GRAPH_FEATURE_NAMES = (
@@ -132,29 +135,9 @@ def _clustering_and_transitivity(
     return avg_clustering, transitivity
 
 
-def _community_labels(
-    graph: nx.Graph,
-    csr: CSRGraph,
-    backend: CommunityBackend,
-    seed: int | np.random.Generator | None,
-) -> np.ndarray:
-    """Community label per CSR node from whichever interface is fastest."""
-    labels_from_csr = getattr(backend, "labels_from_csr", None)
-    if labels_from_csr is not None:
-        return labels_from_csr(csr, seed=seed)
-    node_index = {node: i for i, node in enumerate(graph.nodes())}
-    labels = np.empty(csr.n_nodes, dtype=np.int64)
-    communities = backend.communities(graph, weight="weight", seed=seed)
-    for cid, community in enumerate(communities):
-        for node in community:
-            labels[node_index[node]] = cid
-    return labels
-
-
 def graph_features(
     graph: nx.Graph,
     *,
-    backend: str | CommunityBackend = "louvain",
     seed: int | np.random.Generator | None = 0,
 ) -> np.ndarray:
     """The 12-dimensional feature vector of a term's context graph.
@@ -165,12 +148,9 @@ def graph_features(
 
     Parameters
     ----------
-    backend:
-        Community-detection backend for the three community features
-        (see :mod:`repro.clustering.community`); ``"louvain"`` is the
-        fast native default, ``"greedy"`` the networkx parity fallback.
     seed:
-        Seed for seedable backends (makes ``"louvain"`` deterministic).
+        Seed of the Louvain node visit order (fixed seed =
+        deterministic communities).
     """
     n_nodes = graph.number_of_nodes()
     n_edges = graph.number_of_edges()
@@ -197,9 +177,7 @@ def graph_features(
     largest_fraction = float(component_sizes.max()) / n_nodes
 
     if n_edges > 0:
-        labels = _community_labels(
-            graph, csr, get_community_backend(backend), seed
-        )
+        labels = louvain_labels(csr, seed=seed)
         n_communities = int(labels.max()) + 1
         modularity = modularity_from_labels(csr, labels)
         community_sizes = np.bincount(labels, minlength=n_communities)

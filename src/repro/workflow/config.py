@@ -51,16 +51,6 @@ class EnrichmentConfig:
         ``"thread"`` (default) or ``"process"``.  The per-candidate work
         is pure-Python-heavy, so a process pool escapes the GIL for real
         parallelism; results are identical across backends.
-    community_backend:
-        Community detection used by the Step II graph features:
-        ``"louvain"`` (native CSR optimiser, default) or ``"greedy"``
-        (networkx fallback — see :mod:`repro.clustering.community`).
-    index_shards:
-        Partitions of the positional corpus index.  1 (default) keeps
-        the monolithic :class:`~repro.corpus.index.CorpusIndex`; N > 1
-        builds a :class:`~repro.corpus.index.ShardedCorpusIndex` whose
-        shard builds fan out over ``n_workers`` threads.  Query results
-        are byte-identical across shard counts.
     index_dir:
         Optional directory backing the corpus index with a persistent
         :class:`~repro.corpus.index_store.IndexStore`: the corpus is
@@ -69,8 +59,6 @@ class EnrichmentConfig:
         that is then persisted for the next run.  Process-pool workers
         receive the mmap handle's directory path instead of a pickled
         index, so worker startup no longer scales with corpus size.
-        With ``index_shards > 1`` and ``worker_backend="process"``,
-        rebuild shard construction fans out over a process pool.
         Query results are byte-identical with and without the store.
     feature_cache:
         Memoise per-term feature vectors across training runs and
@@ -125,8 +113,6 @@ class EnrichmentConfig:
     batch_size: int = 8
     n_workers: int = 1
     worker_backend: str = "thread"
-    community_backend: str = "louvain"
-    index_shards: int = 1
     index_dir: str | None = None
     feature_cache: bool = True
     cache_dir: str | None = None
@@ -160,10 +146,6 @@ class EnrichmentConfig:
         if self.n_workers < 1:
             raise ValidationError(
                 f"n_workers must be >= 1, got {self.n_workers}"
-            )
-        if self.index_shards < 1:
-            raise ValidationError(
-                f"index_shards must be >= 1, got {self.index_shards}"
             )
         if self.index_dir is not None and not self.index_dir:
             raise ValidationError("index_dir must be a non-empty path")
@@ -200,11 +182,4 @@ class EnrichmentConfig:
             raise ValidationError(
                 f"worker_backend must be thread|process, "
                 f"got {self.worker_backend!r}"
-            )
-        from repro.clustering.community import COMMUNITY_BACKENDS
-
-        if self.community_backend not in COMMUNITY_BACKENDS:
-            raise ValidationError(
-                f"community_backend must be one of "
-                f"{sorted(COMMUNITY_BACKENDS)}, got {self.community_backend!r}"
             )

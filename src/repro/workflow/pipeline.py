@@ -16,11 +16,8 @@ restructured as a staged batch pipeline:
 
 A :class:`PipelineContext` carries the shared state between stages: the
 corpus's :class:`~repro.corpus.index.CorpusIndex` (built once, reused by
-every stage instead of rescanning documents; ``index_shards > 1``
-partitions it across a
-:class:`~repro.corpus.index.ShardedCorpusIndex` with byte-identical
-query results), the ranked candidates, the
-per-candidate work items, and the growing
+every stage instead of rescanning documents), the ranked candidates,
+the per-candidate work items, and the growing
 :class:`~repro.workflow.report.EnrichmentReport`.  Per-stage wall times
 are recorded in ``report.timings``.
 
@@ -62,7 +59,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from repro.corpus.corpus import Corpus
-from repro.corpus.index import CorpusIndex, ShardedCorpusIndex
+from repro.corpus.index import CorpusIndex
 from repro.errors import CorpusError, LinkageError
 from repro.extraction.extractor import BioTexExtractor, RankedTerm
 from repro.linkage.linker import SemanticLinker
@@ -144,7 +141,7 @@ class PipelineContext:
     corpus: Corpus
     ontology: Ontology
     config: EnrichmentConfig
-    index: CorpusIndex | ShardedCorpusIndex
+    index: CorpusIndex
     report: EnrichmentReport = field(default_factory=EnrichmentReport)
     ranked: list[RankedTerm] = field(default_factory=list)
     work: list[CandidateWork] = field(default_factory=list)
@@ -631,7 +628,6 @@ class OntologyEnricher:
         )
         self._feature_extractor = PolysemyFeatureExtractor(
             window=cfg.context_window,
-            community_backend=cfg.community_backend,
             community_seed=cfg.seed,
         )
         if cfg.feature_cache:
@@ -765,24 +761,14 @@ class OntologyEnricher:
                 from repro.corpus.index_store import IndexStore
 
                 store = IndexStore(cfg.index_dir)
-                index = store.load_or_build(
-                    corpus,
-                    n_shards=cfg.index_shards,
-                    n_workers=cfg.n_workers,
-                    build_backend=cfg.worker_backend,
-                )
+                index = store.load_or_build(corpus)
                 # Cache the mmap handle on the corpus so repeated
                 # enrich calls (and anything else asking the corpus for
                 # its index) reuse the store generation; remembering the
                 # store keeps post-growth rebuilds persisted too.
                 corpus.adopt_index(index, store=store)
             else:
-                index = corpus.index(
-                    n_shards=(
-                        cfg.index_shards if cfg.index_shards > 1 else None
-                    ),
-                    n_workers=cfg.n_workers,
-                )
+                index = corpus.index()
         timings["index"] = time.perf_counter() - started
 
         # Step II needs a trained classifier; label source is the ontology.

@@ -116,27 +116,25 @@ class TestEnrich:
         assert code == 0
         assert "Enrichment report" in out
 
-    def test_enrich_with_index_shards_matches_default(
-        self, scenario_dir, capsys
-    ):
-        argv = [
-            "enrich",
-            "--ontology", str(scenario_dir / "ontology.json"),
-            "--corpus", str(scenario_dir / "corpus.jsonl"),
-            "--candidates", "3",
-            "--top-k", "3",
-        ]
-        assert main(argv) == 0
-        baseline = capsys.readouterr().out
-        assert main(argv + ["--index-shards", "4"]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded == baseline
-
-    def test_index_shards_default(self):
-        args = build_parser().parse_args(
-            ["enrich", "--ontology", "o", "--corpus", "c"]
-        )
-        assert args.index_shards == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enrich", "--ontology", "o", "--corpus", "c", "--index-shards", "2"],
+            ["enrich", "--ontology", "o", "--corpus", "c",
+             "--community-backend", "louvain"],
+            ["index", "build", "--corpus", "c", "--index-dir", "d",
+             "--shards", "2"],
+            ["index", "build", "--corpus", "c", "--index-dir", "d",
+             "--workers", "2"],
+            ["index", "build", "--corpus", "c", "--index-dir", "d",
+             "--build-backend", "thread"],
+        ],
+    )
+    def test_retired_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cache_flags_default_off(self):
         args = build_parser().parse_args(

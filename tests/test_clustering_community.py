@@ -1,18 +1,12 @@
-"""The community-detection subsystem: CSR graphs, Louvain, backends."""
+"""The community-detection subsystem: CSR graphs and native Louvain."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.clustering.community import (
-    COMMUNITY_BACKEND_NAMES,
-    COMMUNITY_BACKENDS,
-    GreedyModularityBackend,
-    LouvainBackend,
-    get_community_backend,
-)
 from repro.clustering.louvain import (
     CSRGraph,
+    louvain_communities,
     louvain_labels,
     modularity_from_labels,
 )
@@ -159,78 +153,33 @@ class TestModularityFromLabels:
             modularity_from_labels(csr, np.array([0, 1]))
 
 
-class TestBackends:
-    def test_registry_names(self):
-        assert set(COMMUNITY_BACKEND_NAMES) == set(COMMUNITY_BACKENDS)
-        assert COMMUNITY_BACKEND_NAMES[0] == "louvain"
-
-    def test_get_backend_resolves_names_and_instances(self):
-        assert get_community_backend("louvain").name == "louvain"
-        assert get_community_backend("greedy").name == "greedy"
-        backend = LouvainBackend(resolution=1.5)
-        assert get_community_backend(backend) is backend
-
-    def test_get_backend_rejects_unknown(self):
-        with pytest.raises(ClusteringError):
-            get_community_backend("metis")
-        with pytest.raises(ClusteringError):
-            get_community_backend(42)
-
-    @pytest.mark.parametrize("name", COMMUNITY_BACKEND_NAMES)
-    def test_communities_partition_the_nodes(self, name):
+class TestLouvainCommunities:
+    def test_communities_partition_the_nodes(self):
         graph = random_weighted_graph(seed=11)
-        communities = get_community_backend(name).communities(graph, seed=0)
+        communities = louvain_communities(graph, seed=0)
         seen = set()
         for community in communities:
             assert not (community & seen)
             seen |= community
         assert seen == set(graph.nodes())
 
-    @pytest.mark.parametrize("name", COMMUNITY_BACKEND_NAMES)
-    def test_communities_sorted_largest_first(self, name):
+    def test_communities_sorted_largest_first(self):
         graph = two_cliques_graph(size=5)
         graph.add_edge("x0", "x1", weight=2.0)  # a third, tiny community
-        communities = get_community_backend(name).communities(graph, seed=0)
+        communities = louvain_communities(graph, seed=0)
         sizes = [len(c) for c in communities]
         assert sizes == sorted(sizes, reverse=True)
 
-    @pytest.mark.parametrize("name", COMMUNITY_BACKEND_NAMES)
-    def test_empty_graph_yields_no_communities(self, name):
-        assert get_community_backend(name).communities(nx.Graph(), seed=0) == []
+    def test_empty_graph_yields_no_communities(self):
+        assert louvain_communities(nx.Graph(), seed=0) == []
 
-    def test_backends_agree_on_clear_structure(self):
-        graph = two_cliques_graph()
-        partitions = []
-        for name in COMMUNITY_BACKEND_NAMES:
-            communities = get_community_backend(name).communities(
-                graph, seed=0
-            )
-            partitions.append(sorted(tuple(sorted(c)) for c in communities))
-        assert partitions[0] == partitions[1]
-
-    def test_louvain_csr_fast_path_matches_communities(self):
+    def test_csr_labels_match_communities(self):
         graph = random_weighted_graph(seed=21)
-        backend = LouvainBackend()
-        via_nx = backend.communities(graph, seed=4)
-        csr = CSRGraph.from_networkx(graph)
-        labels = backend.labels_from_csr(csr, seed=4)
-        nodes = list(graph.nodes())
+        via_nx = louvain_communities(graph, seed=4)
+        labels = louvain_labels(CSRGraph.from_networkx(graph), seed=4)
         groups = {}
-        for node, label in zip(nodes, labels):
+        for node, label in zip(graph.nodes(), labels):
             groups.setdefault(int(label), set()).add(node)
         assert sorted(map(sorted, groups.values())) == sorted(
             map(sorted, via_nx)
-        )
-
-    def test_greedy_backend_matches_networkx(self):
-        graph = random_weighted_graph(seed=31)
-        communities = GreedyModularityBackend().communities(graph, seed=0)
-        reference = [
-            set(c)
-            for c in nx.algorithms.community.greedy_modularity_communities(
-                graph, weight="weight"
-            )
-        ]
-        assert sorted(map(sorted, communities)) == sorted(
-            map(sorted, reference)
         )

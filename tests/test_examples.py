@@ -22,7 +22,6 @@ def examples_on_path(monkeypatch):
             "term_extraction_biotex",
             "enrich_mesh_snapshot",
             "index_reuse",
-            "streaming_enrichment",
             "continuous_enrichment",
             "persistent_cache",
             "cache_service",
@@ -79,16 +78,11 @@ class TestExamples:
         assert "screening" in out
         assert "index=" in out
 
-    def test_streaming_enrichment(self, capsys):
-        out = run_example("streaming_enrichment", capsys, n_concepts=15,
-                          docs_per_concept=3)
-        assert "index patched in place: True" in out
-        assert "re-enrich" in out
-
     def test_continuous_enrichment(self, capsys):
         out = run_example("continuous_enrichment", capsys, n_concepts=15,
                           docs_per_concept=3)
         assert "changed-posting terms recomputed: 0" in out
+        assert "index extended in place, not rebuilt: True" in out
         assert "0 misses" in out
         assert "replayed diffs reconstruct the live report: True" in out
 

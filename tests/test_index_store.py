@@ -8,27 +8,28 @@ The tentpole contract of :mod:`repro.corpus.index_store`:
 * process-pool workers receive a picklable *path handle* (a few hundred
   bytes) instead of the postings themselves;
 * any corruption — truncation, flipped bytes, a torn manifest, version
-  skew, a missing file — makes :meth:`IndexStore.open` raise and
+  skew, a missing file, a retired ``"sharded"`` layout — makes :meth:`IndexStore.open` raise and
   :meth:`IndexStore.load_or_build` degrade to a clean rebuild: never a
   wrong answer.
 """
 
+import json
 import pickle
 import random
 
 import pytest
 
+from repro.cli import main
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
-from repro.corpus.index import CorpusIndex, ShardedCorpusIndex
+from repro.corpus.index import CorpusIndex
 from repro.corpus.index_store import (
     IndexStore,
     IndexStoreError,
     MmapCorpusIndex,
-    build_sharded_index,
 )
 from repro.errors import CorpusError
-from test_index_sharded import (
+from test_corpus_index import (
     assert_full_parity,
     random_documents,
     random_terms,
@@ -52,50 +53,12 @@ class TestMmapParity:
         assert isinstance(opened, MmapCorpusIndex)
         assert_full_parity(opened, reference, random_terms(rng))
 
-    @pytest.mark.parametrize("n_shards", [2, 3, 5])
-    def test_sharded_generation_full_parity(self, tmp_path, n_shards):
-        rng = random.Random(n_shards)
-        docs = random_documents(rng, n_docs=10)
-        reference = CorpusIndex(docs)
-        store = IndexStore(tmp_path / "store")
-        store.save(ShardedCorpusIndex(docs, n_shards=n_shards))
-        opened = store.open(reference.fingerprint())
-        assert isinstance(opened, ShardedCorpusIndex)
-        assert all(
-            isinstance(shard, MmapCorpusIndex) for shard in opened.shards()
-        )
-        assert_full_parity(opened, reference, random_terms(rng))
-
-    def test_process_pool_shard_build_parity(self, tmp_path):
-        rng = random.Random(7)
-        docs = random_documents(rng, n_docs=12)
-        reference = CorpusIndex(docs)
-        built = build_sharded_index(
-            docs,
-            tmp_path / "gen",
-            n_shards=3,
-            n_workers=2,
-            build_backend="process",
-        )
-        assert_full_parity(built, reference, random_terms(rng))
-
     def test_empty_corpus_round_trips(self, tmp_path):
         store, reference = build_store(tmp_path, [])
         opened = store.open(reference.fingerprint())
         assert opened.n_documents() == 0
         assert opened.fingerprint() == reference.fingerprint()
         assert opened.term_frequency("a") == 0
-
-    def test_extend_fingerprint_matches(self, tmp_path):
-        docs = random_documents(random.Random(3))
-        store, reference = build_store(tmp_path, docs)
-        opened = store.open(reference.fingerprint())
-        # Continuing the hash chain through the mmap view must produce
-        # the same value as through the in-memory postings.
-        assert opened.extend_fingerprint("0" * 40) == \
-            reference.extend_fingerprint("0" * 40)
-        assert opened.extend_fingerprint(reference.fingerprint()) == \
-            reference.extend_fingerprint(reference.fingerprint())
 
     def test_mmap_handle_is_read_only(self, tmp_path):
         docs = random_documents(random.Random(0))
@@ -118,16 +81,6 @@ class TestPickling:
         assert len(payload) < 4 * len(pickle.dumps(reference))
         assert len(payload) < 1024
         clone = pickle.loads(payload)
-        assert_full_parity(clone, reference, random_terms(rng))
-
-    def test_sharded_mmap_pickles(self, tmp_path):
-        rng = random.Random(6)
-        docs = random_documents(rng, n_docs=9)
-        reference = CorpusIndex(docs)
-        store = IndexStore(tmp_path / "store")
-        store.save(ShardedCorpusIndex(docs, n_shards=3))
-        opened = store.open(reference.fingerprint(), n_workers=2)
-        clone = pickle.loads(pickle.dumps(opened))
         assert_full_parity(clone, reference, random_terms(rng))
 
 
@@ -212,19 +165,6 @@ class TestCorruption:
         assert_full_parity(
             store.open(reference.fingerprint()), reference, random_terms(rng)
         )
-
-    def test_load_or_build_rebuilds_sharded_after_corruption(self, tmp_path):
-        rng = random.Random(9)
-        docs = random_documents(rng, n_docs=10)
-        reference = CorpusIndex(docs)
-        store = IndexStore(tmp_path / "store")
-        store.save(ShardedCorpusIndex(docs, n_shards=3))
-        target = _one_array_file(store.path_for(reference.fingerprint()))
-        with open(target, "r+b") as fh:
-            fh.truncate(1)
-        rebuilt = store.load_or_build(docs, n_shards=3, n_workers=2)
-        assert isinstance(rebuilt, ShardedCorpusIndex)
-        assert_full_parity(rebuilt, reference, random_terms(rng))
 
     def test_unwritable_store_degrades_to_in_memory(
         self, tmp_path, monkeypatch
@@ -338,14 +278,54 @@ class TestCorpusAdoption:
         assert isinstance(grown, MmapCorpusIndex)
         assert grown.fingerprint() in store.fingerprints()
 
-    def test_sharded_adoption_rebuilds_through_the_store(self, tmp_path):
-        docs = random_documents(random.Random(14))
-        corpus = Corpus(docs)
-        store = IndexStore(tmp_path / "store")
-        corpus.adopt_index(store.load_or_build(corpus, n_shards=2))
-        corpus.add(Document("late", [["new", "tokens"]]))
-        grown = corpus.index()
-        expected = CorpusIndex(list(corpus))
-        assert grown.n_shards == 2
-        assert grown.fingerprint() == expected.fingerprint()
-        assert expected.fingerprint() in store.fingerprints()
+
+class TestLegacyShardedGeneration:
+    """A generation in the retired ``"sharded"`` layout is a clean miss."""
+
+    @pytest.fixture()
+    def legacy(self, tmp_path):
+        docs = random_documents(random.Random(15), n_docs=10)
+        store, reference = build_store(tmp_path, docs)
+        generation = store.path_for(reference.fingerprint())
+        # The old layout: single-index shard subdirectories behind one
+        # top-level manifest of kind "sharded".
+        shard = generation.parent / ".shard-0000"
+        generation.rename(shard)
+        generation.mkdir()
+        shard.rename(generation / "shard-0000")
+        manifest = {
+            "version": 1,
+            "kind": "sharded",
+            "fingerprint": reference.fingerprint(),
+            "n_documents": reference.n_documents(),
+            "n_tokens": reference.n_tokens(),
+            "shards": ["shard-0000"],
+        }
+        (generation / "manifest.json").write_text(json.dumps(manifest))
+        return store, reference, docs
+
+    def test_open_misses_and_load_or_build_rebuilds_in_place(self, legacy):
+        store, reference, docs = legacy
+        with pytest.raises(IndexStoreError, match="sharded"):
+            store.open(reference.fingerprint())
+        rebuilt = store.load_or_build(docs)
+        assert isinstance(rebuilt, MmapCorpusIndex)
+        assert_full_parity(rebuilt, reference, random_terms(random.Random(15)))
+        # Rebuilt as a single generation under the same fingerprint.
+        assert store.fingerprints() == [reference.fingerprint()]
+        generation = store.path_for(reference.fingerprint())
+        assert not (generation / "shard-0000").exists()
+        assert store.describe()["generations"][0]["kind"] == "single"
+
+    def test_inspect_lists_it_without_a_traceback(self, legacy, capsys):
+        store, reference, _ = legacy
+        (generation,) = store.describe()["generations"]
+        assert generation["kind"] == "sharded"
+        assert generation["n_documents"] == reference.n_documents()
+        assert "n_shards" not in generation
+        assert main(["index", "inspect", "--index-dir", str(store.directory)]) == 0
+        captured = capsys.readouterr()
+        assert reference.fingerprint()[:12] in captured.out
+        assert "sharded" in captured.out
+        assert "shards" not in captured.out.replace("sharded", "")
+        assert "retired 'sharded' layout" in captured.err

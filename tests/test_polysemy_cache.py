@@ -65,11 +65,16 @@ class TestFingerprints:
     def test_extractor_fingerprint_pins_every_setting(self):
         base = PolysemyFeatureExtractor()
         assert base.fingerprint() == PolysemyFeatureExtractor().fingerprint()
+        # Byte-pinned: existing disk/remote cache generations are keyed
+        # by this exact string, so any drift would cold-start them all.
+        assert base.fingerprint() == (
+            "window=10;graph_window=4;feature_set=all;"
+            "community_backend=louvain;community_seed=0"
+        )
         variants = [
             PolysemyFeatureExtractor(window=5),
             PolysemyFeatureExtractor(graph_window=2),
             PolysemyFeatureExtractor(feature_set="direct"),
-            PolysemyFeatureExtractor(community_backend="greedy"),
             PolysemyFeatureExtractor(community_seed=9),
         ]
         fingerprints = {v.fingerprint() for v in variants}

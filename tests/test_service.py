@@ -470,6 +470,10 @@ class TestEnrichmentJobs:
             client.submit_job("demo", config={"worker_backend": "process"})
         with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"frobnicate": 1})
+        # Retired knobs are plain unknown fields now.
+        for retired in ("index_shards", "community_backend"):
+            with pytest.raises(ServiceError, match="unknown config field"):
+                client.submit_job("demo", config={retired: 1})
         with pytest.raises(ServiceError, match="404"):
             client.job("job-999999")
         # Falsy non-objects must not slip through as "no overrides".

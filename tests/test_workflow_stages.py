@@ -5,7 +5,6 @@ import pytest
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
-from repro.corpus.index import ShardedCorpusIndex
 from repro.errors import ValidationError
 from repro.extraction.extractor import RankedTerm
 from repro.ontology.model import Concept, Ontology
@@ -254,19 +253,6 @@ class TestWorkerBackends:
             EnrichmentConfig(worker_backend="greenlet")
 
 
-class TestCommunityBackendKnob:
-    def test_louvain_and_greedy_agree_on_labels(self, scenario):
-        louvain = enrich(scenario)
-        greedy = enrich(scenario, community_backend="greedy")
-        assert [t.polysemic for t in louvain.terms] == [
-            t.polysemic for t in greedy.terms
-        ]
-
-    def test_invalid_community_backend_rejected(self):
-        with pytest.raises(ValidationError, match="community_backend"):
-            EnrichmentConfig(community_backend="metis")
-
-
 class TestFeatureCacheWiring:
     def test_report_exposes_cache_counters(self, scenario):
         report = enrich(scenario)
@@ -306,33 +292,6 @@ class TestFeatureCacheWiring:
         cached = enrich(scenario)
         uncached = enrich(scenario, feature_cache=False)
         assert report_fingerprint(cached) == report_fingerprint(uncached)
-
-
-class TestIndexShardsKnob:
-    def test_sharded_index_does_not_change_the_report(self, scenario):
-        baseline = enrich(scenario)
-        sharded = enrich(scenario, index_shards=3)
-        assert report_fingerprint(baseline) == report_fingerprint(sharded)
-
-    def test_enrich_builds_and_caches_sharded_index(self):
-        scenario = make_enrichment_scenario(
-            seed=3, n_concepts=12, docs_per_concept=3,
-        )
-        config = EnrichmentConfig(
-            n_candidates=3, min_contexts=2, index_shards=2
-        )
-        enricher = OntologyEnricher(
-            scenario.ontology, config=config,
-            pos_lexicon=scenario.pos_lexicon,
-        )
-        enricher.enrich(scenario.corpus)
-        index = scenario.corpus.index()
-        assert isinstance(index, ShardedCorpusIndex)
-        assert index.n_shards == 2
-
-    def test_invalid_index_shards_rejected(self):
-        with pytest.raises(ValidationError, match="index_shards"):
-            EnrichmentConfig(index_shards=0)
 
 
 class TestTrainingFallback:
