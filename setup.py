@@ -19,5 +19,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
+    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    # networkx is the tests' reference implementation and the bench
+    # harness's provenance record; the library never imports it.
+    extras_require={"dev": ["networkx>=3.0"]},
 )

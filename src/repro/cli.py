@@ -28,6 +28,7 @@ import time
 from pathlib import Path
 
 from repro.corpus.io import read_corpus_jsonl, write_corpus_jsonl
+from repro.errors import ReproError
 from repro.extraction.measures import MEASURE_NAMES
 from repro.text.stopwords import SUPPORTED_LANGUAGES
 from repro.linkage.evaluation import evaluate_linkage, gold_positions
@@ -311,7 +312,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     """
     import json as _json
 
-    from repro.errors import ValidationError
     from repro.recommend import OntologyRegistry, RecommendConfig, Recommender
 
     if args.text is None and args.scenario is None:
@@ -319,44 +319,40 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
             "error: --text and/or --scenario is required", file=sys.stderr
         )
         return 2
-    try:
-        config = RecommendConfig(
-            coverage_weight=args.coverage_weight,
-            acceptance_weight=args.acceptance_weight,
-            detail_weight=args.detail_weight,
-            specialization_weight=args.specialization_weight,
-            synonym_factor=args.synonym_factor,
-            multiword_factor=args.multiword_factor,
-            max_set_size=args.max_set_size,
-            min_coverage_gain=args.min_coverage_gain,
-        )
-        registry = OntologyRegistry()
-        for name, path in _parse_ontology_specs(args.ontology).items():
-            registry.register_path(name, path)
-        recommender = Recommender(registry, config)
-        index = None
-        if args.scenario is not None:
-            from repro.corpus.index import CorpusIndex
+    config = RecommendConfig(
+        coverage_weight=args.coverage_weight,
+        acceptance_weight=args.acceptance_weight,
+        detail_weight=args.detail_weight,
+        specialization_weight=args.specialization_weight,
+        synonym_factor=args.synonym_factor,
+        multiword_factor=args.multiword_factor,
+        max_set_size=args.max_set_size,
+        min_coverage_gain=args.min_coverage_gain,
+    )
+    registry = OntologyRegistry()
+    for name, path in _parse_ontology_specs(args.ontology).items():
+        registry.register_path(name, path)
+    recommender = Recommender(registry, config)
+    index = None
+    if args.scenario is not None:
+        from repro.corpus.index import CorpusIndex
 
-            index = CorpusIndex(
-                read_corpus_jsonl(Path(args.scenario) / "corpus.jsonl")
-            )
-        if args.text is not None:
-            text = (
-                sys.stdin.read()
-                if args.text == "-"
-                else Path(args.text).read_text(encoding="utf-8")
-            )
-            report = recommender.recommend_text(
-                text,
-                acceptance_index=index,
-                acceptance_source="corpus" if index is not None else None,
-            )
-        else:
-            report = recommender.recommend_index(index)
-    except (OSError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        index = CorpusIndex(
+            read_corpus_jsonl(Path(args.scenario) / "corpus.jsonl")
+        )
+    if args.text is not None:
+        text = (
+            sys.stdin.read()
+            if args.text == "-"
+            else Path(args.text).read_text(encoding="utf-8")
+        )
+        report = recommender.recommend_text(
+            text,
+            acceptance_index=index,
+            acceptance_source="corpus" if index is not None else None,
+        )
+    else:
+        report = recommender.recommend_index(index)
     if args.format == "json":
         print(_json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -414,21 +410,16 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 def _cmd_loadbench(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.errors import ValidationError
     from repro.service.loadgen import run_load
 
-    try:
-        report = run_load(
-            args.url,
-            clients=args.clients,
-            ops_per_client=args.ops,
-            batch_size=args.batch_size,
-            job_corpus=args.job_corpus,
-            seed=args.seed,
-        )
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_load(
+        args.url,
+        clients=args.clients,
+        ops_per_client=args.ops,
+        batch_size=args.batch_size,
+        job_corpus=args.job_corpus,
+        seed=args.seed,
+    )
     document = report.to_dict()
     rows = [
         ["clients", document["clients"]],
@@ -554,19 +545,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         render_text,
         save_baseline,
     )
-    from repro.errors import ValidationError
 
-    root = Path(args.root)
-    try:
-        baseline = (
-            load_baseline(args.baseline)
-            if args.baseline is not None
-            else None
-        )
-        result = lint_project(root, baseline=baseline)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    baseline = (
+        load_baseline(args.baseline) if args.baseline is not None else None
+    )
+    result = lint_project(Path(args.root), baseline=baseline)
     if args.write_baseline is not None:
         save_baseline(result.findings, args.write_baseline)
         print(
@@ -947,10 +930,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A user mistake the library reports (a bad knob, a missing or
+    unreadable file) ends in one ``repro: error:`` line and exit code 2,
+    like an argparse usage error, instead of a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ReproError, OSError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,37 +10,42 @@ cluster.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.clustering.kmeans import spherical_kmeans
-from repro.clustering.louvain import louvain_communities
+from repro.clustering.louvain import CSRGraph, louvain_communities
 from repro.clustering.model import ClusterSolution, relabel_contiguous
 from repro.clustering.similarity import cosine_similarity_matrix
 from repro.errors import ClusteringError
 from repro.utils.rng import ensure_rng
 
 
-def build_knn_graph(sims: np.ndarray, n_neighbors: int) -> nx.Graph:
-    """Symmetric kNN graph from a similarity matrix (edges keep weights)."""
+def build_knn_graph(sims: np.ndarray, n_neighbors: int) -> CSRGraph:
+    """Symmetric kNN graph from a similarity matrix (edges keep weights).
+
+    Node ``i`` links to its ``n_neighbors`` most similar other nodes with
+    positive similarity.  When both ends pick an edge, the later row's
+    similarity is its weight.
+    """
     n = sims.shape[0]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
     order = np.argsort(-sims, axis=1)
-    for i in range(n):
-        added = 0
-        for j in order[i]:
-            j = int(j)
-            if j == i:
-                continue
-            weight = float(sims[i, j])
-            if weight <= 0.0:
-                break
-            graph.add_edge(i, j, weight=max(weight, 1e-12))
-            added += 1
-            if added >= n_neighbors:
-                break
-    return graph
+    # Drop each row's own column; every row holds itself exactly once.
+    others = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+    cols = others[:, :n_neighbors]
+    rows = np.repeat(np.arange(n), cols.shape[1])
+    cols = cols.ravel()
+    weights = sims[rows, cols]
+    # Rows are sorted by descending similarity, so this keeps each row's
+    # prefix of positive neighbours.
+    positive = weights > 0.0
+    rows, cols, weights = rows[positive], cols[positive], weights[positive]
+    # Keep each undirected pair's last write (the reversed first one).
+    keys = (np.minimum(rows, cols) * n + np.maximum(rows, cols))[::-1]
+    __, last = np.unique(keys, return_index=True)
+    last = rows.size - 1 - last
+    return CSRGraph.from_edges(
+        n, rows[last], cols[last], np.maximum(weights[last], 1e-12)
+    )
 
 
 def _mean_inter_similarity(

@@ -1,11 +1,9 @@
 """Native Louvain community detection on CSR adjacency arrays.
 
 The workflow's Step II graph features and the CLUTO-style ``graph``
-clustering both need modularity communities.  networkx's
-``greedy_modularity_communities`` is correct but dominated by its
-pure-Python priority queue — on the pipeline's per-term context graphs
-it accounts for ~85% of training wall time.  This module implements the
-Louvain method (Blondel et al. 2008) directly on flat numpy CSR arrays:
+clustering both need modularity communities.  This module implements
+the Louvain method (Blondel et al. 2008) directly on flat numpy CSR
+arrays, with no graph library in between:
 
 * :class:`CSRGraph` — an undirected weighted graph as ``indptr`` /
   ``indices`` / ``weights`` arrays (each off-diagonal edge stored in
@@ -14,8 +12,8 @@ Louvain method (Blondel et al. 2008) directly on flat numpy CSR arrays:
 * :func:`louvain_labels` — the two-phase local-move + aggregation
   optimiser, deterministic for a fixed ``seed`` (node visit order is a
   seeded permutation, ties keep the incumbent community);
-* :func:`louvain_communities` — the same optimiser over a networkx
-  graph, returning node sets largest first;
+* :func:`louvain_communities` — the same labels as node-id sets,
+  largest first;
 * :func:`modularity_from_labels` — the Newman-Girvan modularity of a
   labelling, matching ``networkx.algorithms.community.modularity``.
 
@@ -125,7 +123,11 @@ class CSRGraph:
 
     @classmethod
     def from_networkx(cls, graph, weight: str = "weight") -> "CSRGraph":
-        """Build from a networkx graph, with nodes in ``graph.nodes`` order."""
+        """Build from a networkx-style graph, nodes in ``graph.nodes`` order.
+
+        Duck-typed (no networkx import): the adapter tests use to compare
+        against networkx reference builds.
+        """
         index = {node: i for i, node in enumerate(graph.nodes())}
         n_edges = graph.number_of_edges()
         rows = np.empty(n_edges, dtype=np.int64)
@@ -474,26 +476,18 @@ def louvain_labels(
 
 
 def louvain_communities(
-    graph, *, seed: int | np.random.Generator | None = 0
-) -> list[set]:
-    """Node communities of a ``"weight"``-weighted networkx ``graph``.
+    graph: CSRGraph, *, seed: int | np.random.Generator | None = 0
+) -> list[set[int]]:
+    """Node-id communities of ``graph``, largest first.
 
-    Runs :func:`louvain_labels` on the graph's CSR form.  Communities
-    come largest first, ties broken by the earliest node in
-    ``graph.nodes`` order, so the list is stable for a fixed seed.
+    Runs :func:`louvain_labels`; ties in size are broken by the smallest
+    node id, so the list is stable for a fixed seed.
     """
-    nodes = list(graph.nodes())
-    if not nodes:
-        return []
-    labels = louvain_labels(CSRGraph.from_networkx(graph), seed=seed)
-    groups: dict[int, set] = {}
-    for node, label in zip(nodes, labels, strict=True):
-        groups.setdefault(int(label), set()).add(node)
-    first_seen = {node: i for i, node in enumerate(nodes)}
-    return sorted(
-        groups.values(),
-        key=lambda c: (-len(c), min(first_seen[node] for node in c)),
-    )
+    labels = louvain_labels(graph, seed=seed)
+    groups: dict[int, set[int]] = {}
+    for node, label in enumerate(labels.tolist()):
+        groups.setdefault(label, set()).add(node)
+    return sorted(groups.values(), key=lambda c: (-len(c), min(c)))
 
 
 def modularity_from_labels(

@@ -5,14 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-import networkx as nx
-
 from repro.corpus.corpus import Corpus
 from repro.corpus.index import CorpusIndex
 from repro.errors import LinkageError
 from repro.linkage.context import TermContextIndex
 from repro.linkage.neighborhood import build_term_graph, mesh_neighborhood
 from repro.ontology.model import Ontology, normalize_term
+from repro.text.cooccurrence import CooccurrenceGraph, CooccurrenceGraphBuilder
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class SemanticLinker:
         self.top_k = top_k
         self.expand_hierarchy = expand_hierarchy
         self._extra_terms = {normalize_term(t) for t in extra_terms}
-        self._graph: nx.Graph | None = None
+        self._graph: CooccurrenceGraph | None = None
         self._index: TermContextIndex | None = None
 
     # -- shared artefacts ---------------------------------------------------
@@ -110,8 +109,6 @@ class SemanticLinker:
         """Build the shared co-occurrence graph and context index now."""
         terms = self._known_terms()
         builder_terms = [tuple(t.split()) for t in terms]
-        from repro.text.cooccurrence import CooccurrenceGraphBuilder
-
         if not self._index_supplied:
             # Re-fetch on every (re)build: corpus.index() is cached, and a
             # rebuild after corpus.add must see the added documents.
@@ -126,7 +123,9 @@ class SemanticLinker:
         self._index.build(terms)
         return self
 
-    def _ensure_prepared(self, candidate: str) -> tuple[nx.Graph, TermContextIndex]:
+    def _ensure_prepared(
+        self, candidate: str
+    ) -> tuple[CooccurrenceGraph, TermContextIndex]:
         if candidate not in self._extra_terms and not self.ontology.has_term(
             candidate
         ):
@@ -186,6 +185,6 @@ class SemanticLinker:
 
 def build_candidate_graph(
     corpus: Corpus, ontology: Ontology, candidate: str, *, window: int = 8
-) -> nx.Graph:
+) -> CooccurrenceGraph:
     """One-off term graph for a single candidate (see also ``prepare``)."""
     return build_term_graph(corpus, ontology, candidate, window=window)

@@ -9,12 +9,10 @@ concepts those neighbours name.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.corpus.corpus import Corpus
 from repro.errors import LinkageError
 from repro.ontology.model import Ontology, normalize_term
-from repro.text.cooccurrence import CooccurrenceGraphBuilder
+from repro.text.cooccurrence import CooccurrenceGraph, CooccurrenceGraphBuilder
 
 
 def build_term_graph(
@@ -24,7 +22,7 @@ def build_term_graph(
     *,
     window: int = 8,
     stop_language: str | None = None,
-) -> nx.Graph:
+) -> CooccurrenceGraph:
     """Term co-occurrence graph over ontology terms plus the candidate.
 
     Multi-word ontology terms (and the candidate) are merged into single
@@ -40,7 +38,7 @@ def build_term_graph(
 
 
 def mesh_neighborhood(
-    graph: nx.Graph,
+    graph: CooccurrenceGraph,
     ontology: Ontology,
     candidate: str,
     *,

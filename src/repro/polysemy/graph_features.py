@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components as _csgraph_components
@@ -24,6 +23,7 @@ from repro.clustering.louvain import (
     louvain_labels,
     modularity_from_labels,
 )
+from repro.text.cooccurrence import cooccurrence_csr, drop_light_edges
 
 #: Feature names in vector order.
 GRAPH_FEATURE_NAMES = (
@@ -47,33 +47,27 @@ def build_context_graph(
     *,
     window: int = 4,
     min_weight: float = 1.0,
-) -> nx.Graph:
+) -> CSRGraph:
     """Co-occurrence graph over the words of ``contexts``.
 
-    A sliding window of ``window`` tokens inside each context adds edges;
-    edges below ``min_weight`` total are pruned.
+    A sliding window of ``window`` tokens inside each context adds edges
+    (see :func:`~repro.text.cooccurrence.cooccurrence_csr`; node ids
+    follow first appearance).  With ``min_weight > 1`` edges below that
+    total are pruned, and so are the nodes left without an edge.
     """
-    graph = nx.Graph()
-    for context in contexts:
-        tokens = list(context)
-        n = len(tokens)
-        for i, left in enumerate(tokens):
-            graph.add_node(left)
-            for j in range(i + 1, min(i + window, n)):
-                right = tokens[j]
-                if left == right:
-                    continue
-                if graph.has_edge(left, right):
-                    graph[left][right]["weight"] += 1.0
-                else:
-                    graph.add_edge(left, right, weight=1.0)
-    if min_weight > 1.0:
-        drop = [
-            (u, v) for u, v, w in graph.edges(data="weight") if w < min_weight
-        ]
-        graph.remove_edges_from(drop)
-        graph.remove_nodes_from([n for n in graph if graph.degree(n) == 0])
-    return graph
+    __, graph, __ = cooccurrence_csr(contexts, window=window)
+    if min_weight <= 1.0:
+        return graph
+    graph = drop_light_edges(graph, min_weight)
+    degrees = np.diff(graph.indptr)
+    keep = degrees > 0
+    # Renumbering is monotone, so columns stay sorted inside each row.
+    new_id = np.cumsum(keep) - 1
+    indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+    np.cumsum(degrees[keep], out=indptr[1:])
+    return CSRGraph(
+        indptr=indptr, indices=new_id[graph.indices], weights=graph.weights
+    )
 
 
 def _entropy(values: np.ndarray) -> float:
@@ -87,21 +81,17 @@ def _entropy(values: np.ndarray) -> float:
     return entropy / max_entropy if max_entropy > 0 else 0.0
 
 
-def _binary_adjacency(csr: CSRGraph) -> sparse.csr_matrix:
-    """Unweighted scipy adjacency of ``csr``, self-loops dropped.
+def _binary_adjacency(
+    n: int, rows: np.ndarray, cols: np.ndarray
+) -> sparse.csr_matrix:
+    """Unweighted ``n``-node scipy adjacency of the entries ``(rows, cols)``.
 
-    Triangle counts and connectivity follow the networkx convention of
-    ignoring self-loops and edge weights.
+    Callers pass the entries without self-loops: triangle counts and
+    connectivity follow the networkx convention of ignoring self-loops
+    and edge weights.
     """
-    n = csr.n_nodes
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-    keep = rows != csr.indices
     return sparse.csr_matrix(
-        (
-            np.ones(int(keep.sum()), dtype=np.float64),
-            (rows[keep], csr.indices[keep]),
-        ),
-        shape=(n, n),
+        (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(n, n)
     )
 
 
@@ -136,15 +126,17 @@ def _clustering_and_transitivity(
 
 
 def graph_features(
-    graph: nx.Graph,
+    graph: CSRGraph,
     *,
     seed: int | np.random.Generator | None = 0,
 ) -> np.ndarray:
     """The 12-dimensional feature vector of a term's context graph.
 
-    Every metric is computed natively on the graph's CSR adjacency
-    (sparse matmul triangles, union-find components, Louvain
-    communities) — networkx is only the input container.
+    Every metric is computed natively on the CSR adjacency (sparse
+    matmul triangles, union-find components, Louvain communities).
+    Counts, degrees and density follow the networkx conventions the
+    vectors were first defined with (a self-loop adds 2 to its node's
+    degree), so cached vectors stay valid.
 
     Parameters
     ----------
@@ -152,15 +144,27 @@ def graph_features(
         Seed of the Louvain node visit order (fixed seed =
         deterministic communities).
     """
-    n_nodes = graph.number_of_nodes()
-    n_edges = graph.number_of_edges()
+    n_nodes = graph.n_nodes
     if n_nodes == 0:
         return np.zeros(len(GRAPH_FEATURE_NAMES), dtype=np.float64)
 
-    csr = CSRGraph.from_networkx(graph, weight="weight")
-    adjacency = _binary_adjacency(csr)
-    degrees = np.array([d for __, d in graph.degree()], dtype=np.float64)
-    density = nx.density(graph) if n_nodes > 1 else 0.0
+    rows = np.repeat(
+        np.arange(n_nodes, dtype=np.int64), np.diff(graph.indptr)
+    )
+    loops = rows == graph.indices
+    n_loops = int(loops.sum())
+    n_edges = (graph.indices.size - n_loops) // 2 + n_loops
+    degrees = (
+        np.diff(graph.indptr) + np.bincount(rows[loops], minlength=n_nodes)
+    ).astype(np.float64)
+    density = (
+        n_edges / (n_nodes * (n_nodes - 1)) * 2
+        if n_nodes > 1 and n_edges > 0
+        else 0.0
+    )
+    adjacency = _binary_adjacency(
+        n_nodes, rows[~loops], graph.indices[~loops]
+    )
     mean_degree = float(degrees.mean())
     degree_entropy = _entropy(degrees)
     if n_nodes > 1:
@@ -177,9 +181,9 @@ def graph_features(
     largest_fraction = float(component_sizes.max()) / n_nodes
 
     if n_edges > 0:
-        labels = louvain_labels(csr, seed=seed)
+        labels = louvain_labels(graph, seed=seed)
         n_communities = int(labels.max()) + 1
-        modularity = modularity_from_labels(csr, labels)
+        modularity = modularity_from_labels(graph, labels)
         community_sizes = np.bincount(labels, minlength=n_communities)
         community_entropy = _entropy(community_sizes.astype(np.float64))
     else:

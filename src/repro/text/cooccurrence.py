@@ -1,28 +1,87 @@
 """Term co-occurrence graphs.
 
-Three stages of the paper lean on a graph induced from the corpus:
+Two stages of the paper lean on a graph induced from the corpus:
 
 * Step II extracts 12 of its 23 polysemy features "from a graph itself
-  induced from the text corpus";
-* Step III's graph representation clusters a term's contexts through
-  graph-derived vectors;
+  induced from the text corpus" (the co-occurrence graph of a term's
+  context words);
 * Step IV builds "a term co-occurrence graph ... selecting only the MeSH
   neighborhood of a candidate term".
 
-:class:`CooccurrenceGraphBuilder` turns tokenised documents into a weighted
-undirected :class:`networkx.Graph` whose nodes are tokens (or multi-word
-terms after merging) and whose edge weights count within-window
-co-occurrences.
+Both are built by one numpy kernel, :func:`cooccurrence_csr`: token
+sequences in, a weighted undirected :class:`~repro.clustering.louvain.CSRGraph`
+out, whose edge weights count within-window co-occurrences.
+:class:`CooccurrenceGraphBuilder` wraps it for Step IV and returns a
+read-only :class:`CooccurrenceGraph` whose nodes are tokens (or
+multi-word terms after merging).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 
-import networkx as nx
+import numpy as np
 
+from repro.clustering.louvain import CSRGraph
 from repro.text.stopwords import stopwords_for
 from repro.utils.validation import check_positive_int
+
+
+def cooccurrence_csr(
+    sequences: Iterable[Sequence[Hashable]], *, window: int
+) -> tuple[dict, CSRGraph, np.ndarray]:
+    """Sliding-window co-occurrence graph of token ``sequences``.
+
+    Two tokens of one sequence co-occur when their distance is below
+    ``window``; equal tokens never pair (no self-loops).  Each edge's
+    weight is its number of co-occurrences.
+
+    Returns ``(ids, graph, counts)``: ``ids`` maps each token to its
+    node id, assigned in order of first appearance; ``counts[i]`` is the
+    number of occurrences of node ``i``.
+    """
+    ids: dict = {}
+    flat: list[int] = []
+    lengths: list[int] = []
+    for sequence in sequences:
+        before = len(flat)
+        flat.extend([ids.setdefault(token, len(ids)) for token in sequence])
+        lengths.append(len(flat) - before)
+    n = len(ids)
+    tokens = np.array(flat, dtype=np.int64)
+    counts = np.bincount(tokens, minlength=n)
+    sequence_of = np.repeat(np.arange(len(lengths)), lengths)
+    keys = [np.empty(0, dtype=np.int64)]
+    for distance in range(1, min(window, tokens.size)):
+        left = tokens[:-distance]
+        right = tokens[distance:]
+        pair = (sequence_of[:-distance] == sequence_of[distance:]) & (
+            left != right
+        )
+        left = left[pair]
+        right = right[pair]
+        keys.append(np.minimum(left, right) * n + np.maximum(left, right))
+    edges, weights = np.unique(np.concatenate(keys), return_counts=True)
+    graph = CSRGraph.from_edges(
+        n, edges // n, edges % n, weights.astype(np.float64)
+    )
+    return ids, graph, counts
+
+
+def drop_light_edges(graph: CSRGraph, min_weight: float) -> CSRGraph:
+    """``graph`` without the edges whose weight is below ``min_weight``."""
+    keep = graph.weights >= min_weight
+    if keep.all():
+        return graph
+    n = graph.n_nodes
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    return CSRGraph(
+        indptr=indptr,
+        indices=graph.indices[keep],
+        weights=graph.weights[keep],
+    )
 
 
 def merge_term_tokens(
@@ -103,43 +162,75 @@ class CooccurrenceGraphBuilder:
         stop = stopwords_for(self.stop_language)
         return [t for t in merged if t not in stop]
 
-    def build(self, documents: Iterable[Sequence[str]]) -> nx.Graph:
+    def build(self, documents: Iterable[Sequence[str]]) -> CooccurrenceGraph:
         """Accumulate co-occurrence counts over ``documents`` into a graph."""
-        graph = nx.Graph()
-        for tokens in documents:
-            prepared = self._prepare(tokens)
-            n = len(prepared)
-            for i, left in enumerate(prepared):
-                # add_edge may have created the node without attributes, so
-                # the count attribute cannot be assumed to exist yet.
-                if not graph.has_node(left):
-                    graph.add_node(left)
-                graph.nodes[left]["count"] = graph.nodes[left].get("count", 0) + 1
-                for j in range(i + 1, min(i + self.window, n)):
-                    right = prepared[j]
-                    if left == right:
-                        continue
-                    if graph.has_edge(left, right):
-                        graph[left][right]["weight"] += 1.0
-                    else:
-                        graph.add_edge(left, right, weight=1.0)
-        if self.min_weight > 1.0:
-            to_drop = [
-                (u, v)
-                for u, v, w in graph.edges(data="weight")
-                if w < self.min_weight
-            ]
-            graph.remove_edges_from(to_drop)
-        return graph
+        ids, graph, counts = cooccurrence_csr(
+            (self._prepare(tokens) for tokens in documents),
+            window=self.window,
+        )
+        return CooccurrenceGraph(
+            ids, drop_light_edges(graph, self.min_weight), counts
+        )
 
 
-def ego_graph(graph: nx.Graph, node: str, radius: int = 1) -> nx.Graph:
-    """The subgraph within ``radius`` hops of ``node`` (copy).
+class CooccurrenceGraph:
+    """A read-only weighted co-occurrence graph over named nodes.
 
-    Convenience wrapper that returns an empty graph when ``node`` is
-    absent instead of raising, because candidate terms may have no
-    observed context at small corpus scales.
+    Parameters
+    ----------
+    ids:
+        Node name to node id (ids ``0..n-1``, in first-appearance order).
+    graph:
+        The weighted adjacency over those ids.
+    counts:
+        Occurrences of each node in the source documents.
     """
-    if node not in graph:
-        return nx.Graph()
-    return nx.ego_graph(graph, node, radius=radius).copy()
+
+    def __init__(
+        self, ids: dict[str, int], graph: CSRGraph, counts: np.ndarray
+    ) -> None:
+        self._ids = ids
+        self._names = list(ids)
+        self._graph = graph
+        self._counts = counts
+
+    def __contains__(self, node: object) -> bool:
+        return node in self._ids
+
+    def _row(self, node: str) -> slice:
+        i = self._ids[node]
+        return slice(int(self._graph.indptr[i]), int(self._graph.indptr[i + 1]))
+
+    def neighbors(self, node: str) -> list[str]:
+        """Nodes sharing an edge with ``node`` (``KeyError`` if absent)."""
+        names = self._names
+        return [names[j] for j in self._graph.indices[self._row(node)].tolist()]
+
+    def weight(self, u: str, v: str) -> float:
+        """Co-occurrence count of ``u`` and ``v`` (0.0 without an edge)."""
+        if u not in self._ids or v not in self._ids:
+            return 0.0
+        row = self._row(u)
+        columns = self._graph.indices[row]
+        # Columns are sorted inside each row.
+        k = int(np.searchsorted(columns, self._ids[v]))
+        if k < columns.size and columns[k] == self._ids[v]:
+            return float(self._graph.weights[row][k])
+        return 0.0
+
+    def has_edge(self, u: str, v: str) -> bool:
+        """Whether ``u`` and ``v`` co-occur (after pruning)."""
+        return self.weight(u, v) > 0.0
+
+    def count(self, node: str) -> int:
+        """Occurrences of ``node`` in the documents (``KeyError`` if absent)."""
+        return int(self._counts[self._ids[node]])
+
+    def degree(self, node: str) -> int:
+        """Number of neighbours of ``node`` (``KeyError`` if absent)."""
+        row = self._row(node)
+        return row.stop - row.start
+
+    def number_of_edges(self) -> int:
+        """Number of undirected edges."""
+        return int(self._graph.indices.size) // 2

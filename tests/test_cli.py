@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +27,47 @@ def scenario_dir(tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+class TestUserErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enrich", "--ontology", "{scenario}/ontology.json",
+             "--corpus", "{scenario}/corpus.jsonl", "--candidates", "0"],
+            ["enrich", "--ontology", "{missing}/ontology.json",
+             "--corpus", "{scenario}/corpus.jsonl"],
+            ["index", "build", "--corpus", "{missing}/corpus.jsonl",
+             "--index-dir", "{tmp}/index"],
+            ["recommend", "--ontology", "eye={missing}/ontology.json",
+             "--text", "{scenario}/corpus.jsonl"],
+        ],
+        ids=["enrich-bad-knob", "enrich-missing-file", "index-build-missing",
+             "recommend-missing-ontology"],
+    )
+    def test_one_line_error_and_exit_two(
+        self, argv, scenario_dir, tmp_path, capsys
+    ):
+        paths = {
+            "scenario": scenario_dir,
+            "missing": tmp_path / "missing",
+            "tmp": tmp_path,
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+
+
+class TestImportFootprint:
+    def test_entry_points_do_not_import_networkx(self):
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.workflow.pipeline, repro.service.server\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestParser:

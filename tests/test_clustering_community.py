@@ -156,30 +156,30 @@ class TestModularityFromLabels:
 class TestLouvainCommunities:
     def test_communities_partition_the_nodes(self):
         graph = random_weighted_graph(seed=11)
-        communities = louvain_communities(graph, seed=0)
+        communities = louvain_communities(CSRGraph.from_networkx(graph), seed=0)
         seen = set()
         for community in communities:
             assert not (community & seen)
             seen |= community
-        assert seen == set(graph.nodes())
+        assert seen == set(range(graph.number_of_nodes()))
 
     def test_communities_sorted_largest_first(self):
         graph = two_cliques_graph(size=5)
         graph.add_edge("x0", "x1", weight=2.0)  # a third, tiny community
-        communities = louvain_communities(graph, seed=0)
+        communities = louvain_communities(CSRGraph.from_networkx(graph), seed=0)
         sizes = [len(c) for c in communities]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_empty_graph_yields_no_communities(self):
-        assert louvain_communities(nx.Graph(), seed=0) == []
+        assert louvain_communities(CSRGraph.from_networkx(nx.Graph()), seed=0) == []
 
     def test_csr_labels_match_communities(self):
-        graph = random_weighted_graph(seed=21)
-        via_nx = louvain_communities(graph, seed=4)
-        labels = louvain_labels(CSRGraph.from_networkx(graph), seed=4)
+        csr = CSRGraph.from_networkx(random_weighted_graph(seed=21))
+        communities = louvain_communities(csr, seed=4)
+        labels = louvain_labels(csr, seed=4)
         groups = {}
-        for node, label in zip(graph.nodes(), labels):
+        for node, label in enumerate(labels):
             groups.setdefault(int(label), set()).add(node)
         assert sorted(map(sorted, groups.values())) == sorted(
-            map(sorted, via_nx)
+            map(sorted, communities)
         )

@@ -1,8 +1,13 @@
 """Tests for the 23 polysemy features (direct + graph)."""
 
+import math
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.clustering.louvain import CSRGraph
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
 from repro.errors import CorpusError
@@ -10,6 +15,7 @@ from repro.polysemy.direct_features import DIRECT_FEATURE_NAMES, direct_features
 from repro.polysemy.features import ALL_FEATURE_NAMES, PolysemyFeatureExtractor
 from repro.polysemy.graph_features import (
     GRAPH_FEATURE_NAMES,
+    _entropy,
     build_context_graph,
     graph_features,
 )
@@ -138,14 +144,102 @@ class TestGraphFeatures:
     def test_min_weight_pruning(self):
         contexts = [("a", "b"), ("a", "b"), ("c", "d")]
         graph = build_context_graph(contexts, min_weight=2.0)
-        assert graph.has_edge("a", "b")
-        assert not graph.has_edge("c", "d")
-        assert "c" not in graph  # isolated nodes dropped after pruning
+        # Only a-b survives; c and d lose their edge and are dropped.
+        assert graph.n_nodes == 2
+        assert edge_list(graph) == [(0, 1, 2.0)]
 
     def test_window_limits_edges(self):
         graph = build_context_graph([("a", "b", "c", "d", "e")], window=2)
-        assert graph.has_edge("a", "b")
-        assert not graph.has_edge("a", "c")
+        # Nodes a..e are 0..4; only adjacent tokens pair.
+        assert edge_list(graph) == [
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (2, 3, 1.0),
+            (3, 4, 1.0),
+        ]
+
+
+def edge_list(graph):
+    """``(i, j, weight)`` of each undirected edge, ``i < j``."""
+    rows = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+    return [
+        (int(i), int(j), float(w))
+        for i, j, w in zip(rows, graph.indices, graph.weights)
+        if i < j
+    ]
+
+
+def reference_context_graph(contexts, window, min_weight):
+    """The edge-by-edge networkx build the array kernel replaced."""
+    graph = nx.Graph()
+    for tokens in contexts:
+        n = len(tokens)
+        for i, left in enumerate(tokens):
+            graph.add_node(left)
+            for j in range(i + 1, min(i + window, n)):
+                right = tokens[j]
+                if left == right:
+                    continue
+                if graph.has_edge(left, right):
+                    graph[left][right]["weight"] += 1.0
+                else:
+                    graph.add_edge(left, right, weight=1.0)
+    if min_weight > 1.0:
+        graph.remove_edges_from(
+            [(u, v) for u, v, w in graph.edges(data="weight") if w < min_weight]
+        )
+        graph.remove_nodes_from([n for n in graph if graph.degree(n) == 0])
+    return graph
+
+
+def reference_graph_features(graph, seed):
+    """``graph_features`` as it read counts, degrees and density off networkx.
+
+    The topology metrics (clustering, components, Louvain) were already
+    computed on the CSR form; only these five features came from the
+    networkx graph itself.
+    """
+    vec = graph_features(CSRGraph.from_networkx(graph), seed=seed)
+    n_nodes = graph.number_of_nodes()
+    if n_nodes:
+        degrees = np.array([d for __, d in graph.degree()], dtype=np.float64)
+        names = list(GRAPH_FEATURE_NAMES)
+        vec[names.index("log_n_nodes")] = math.log1p(n_nodes)
+        vec[names.index("log_n_edges")] = math.log1p(graph.number_of_edges())
+        vec[names.index("density")] = nx.density(graph) if n_nodes > 1 else 0.0
+        vec[names.index("mean_degree")] = float(degrees.mean())
+        vec[names.index("degree_entropy")] = _entropy(degrees)
+    return vec
+
+
+class TestContextGraphMatchesReference:
+    @given(
+        st.lists(
+            st.lists(st.sampled_from("abcdefgh"), max_size=10),
+            max_size=10,
+        ),
+        st.integers(1, 6),
+        st.sampled_from([1.0, 2.0]),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_arrays_and_vector_are_bit_identical(
+        self, contexts, window, min_weight, seed
+    ):
+        graph = build_context_graph(
+            contexts, window=window, min_weight=min_weight
+        )
+        reference = reference_context_graph(contexts, window, min_weight)
+        expected = CSRGraph.from_networkx(reference)
+        for name in ("indptr", "indices", "weights"):
+            np.testing.assert_array_equal(
+                getattr(graph, name), getattr(expected, name), err_msg=name
+            )
+            assert getattr(graph, name).dtype == getattr(expected, name).dtype
+        assert (
+            graph_features(graph, seed=seed).tobytes()
+            == reference_graph_features(reference, seed).tobytes()
+        )
 
 
 class TestExtractor:
