@@ -19,8 +19,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
-    # networkx is the tests' reference implementation and the bench
-    # harness's provenance record; the library never imports it.
-    extras_require={"dev": ["networkx>=3.0"]},
+    install_requires=["numpy>=1.24"],
+    # scipy and networkx are the tests' reference implementations (and
+    # scipy.sparse an accepted clustering input) and the bench harness's
+    # provenance record; the library never imports them.
+    extras_require={"dev": ["networkx>=3.0", "scipy>=1.10"]},
 )

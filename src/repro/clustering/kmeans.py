@@ -10,19 +10,25 @@ requested k is always realised.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.clustering.model import ClusterSolution
-from repro.clustering.similarity import as_float_array, normalize_rows
+from repro.clustering.similarity import as_float_array, is_sparse, normalize_rows
 from repro.errors import ClusteringError
 from repro.utils.rng import ensure_rng
 
 
 def _to_dense_rows(matrix, indices) -> np.ndarray:
     rows = matrix[indices]
-    if sp.issparse(rows):
+    if is_sparse(rows):
         return rows.toarray()
     return np.atleast_2d(rows)
+
+
+def _similarities(unit, row: int) -> np.ndarray:
+    """Cosine similarity of every row of ``unit`` to row ``row``."""
+    if is_sparse(unit):
+        return (unit @ unit[row].T).toarray().ravel()
+    return unit @ unit[row]
 
 
 def _plusplus_seeds(
@@ -32,8 +38,7 @@ def _plusplus_seeds(
     n = unit.shape[0]
     first = int(rng.integers(0, n))
     seeds = [first]
-    sims = np.asarray((unit @ unit[first].T).todense()).ravel() if sp.issparse(unit) \
-        else unit @ unit[first]
+    sims = _similarities(unit, first)
     best_sim = sims.copy()
     while len(seeds) < k:
         dist = np.clip(1.0 - best_sim, 0.0, None)
@@ -46,8 +51,7 @@ def _plusplus_seeds(
             continue
         pick = int(rng.choice(n, p=dist / total))
         seeds.append(pick)
-        sims = np.asarray((unit @ unit[pick].T).todense()).ravel() if sp.issparse(unit) \
-            else unit @ unit[pick]
+        sims = _similarities(unit, pick)
         best_sim = np.maximum(best_sim, sims)
     return np.asarray(seeds)
 
@@ -114,7 +118,7 @@ def spherical_kmeans(
         labels = start_labels
         for _ in range(max_iter):
             sims = unit @ centroids.T
-            if sp.issparse(sims):
+            if is_sparse(sims):
                 sims = sims.toarray()
             new_labels = np.asarray(sims).argmax(axis=1)
             # Re-seed empty clusters with the globally worst-fitting object.

@@ -5,19 +5,25 @@ is the single place that normalisation happens.  With unit rows, cosine
 similarity is a plain dot product, and per-cluster statistics reduce to
 norms of composite (summed) vectors — the trick CLUTO uses to compute
 ISIM/ESIM without materialising the n×n similarity matrix.
+
+Sparse input (a scipy.sparse matrix or array) is accepted without
+importing scipy: it is recognised, and handled, through its own
+``tocsr``/``toarray``/``multiply`` methods.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-
-Matrix = "np.ndarray | sp.spmatrix"
 
 
-def as_float_array(matrix) -> "np.ndarray | sp.csr_matrix":
-    """Coerce input to float64 dense ndarray or CSR sparse matrix."""
-    if sp.issparse(matrix):
+def is_sparse(matrix) -> bool:
+    """Whether ``matrix`` is a sparse matrix (it has a ``tocsr`` method)."""
+    return hasattr(matrix, "tocsr")
+
+
+def as_float_array(matrix):
+    """Coerce input to a float64 dense ndarray or a CSR sparse matrix."""
+    if is_sparse(matrix):
         return matrix.tocsr().astype(np.float64)
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
@@ -28,10 +34,10 @@ def as_float_array(matrix) -> "np.ndarray | sp.csr_matrix":
 def normalize_rows(matrix):
     """Return a copy of ``matrix`` with L2-normalised rows (zero rows kept)."""
     matrix = as_float_array(matrix)
-    if sp.issparse(matrix):
-        norms = np.sqrt(matrix.multiply(matrix).sum(axis=1)).A.ravel()
+    if is_sparse(matrix):
+        norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
         norms[norms == 0.0] = 1.0
-        return (sp.diags(1.0 / norms) @ matrix).tocsr()
+        return matrix.multiply((1.0 / norms)[:, None]).tocsr()
     norms = np.linalg.norm(matrix, axis=1)
     norms[norms == 0.0] = 1.0
     return matrix / norms[:, None]
@@ -41,14 +47,14 @@ def cosine_similarity_matrix(matrix) -> np.ndarray:
     """Dense n×n cosine similarity of the rows of ``matrix``."""
     unit = normalize_rows(matrix)
     product = unit @ unit.T
-    sims = product.toarray() if sp.issparse(product) else product
+    sims = product.toarray() if is_sparse(product) else product
     return np.clip(sims, -1.0, 1.0)
 
 
 def composite_vector(matrix, indices: np.ndarray) -> np.ndarray:
     """Sum of the selected rows as a dense 1-D vector (CLUTO's D_i)."""
     rows = matrix[indices]
-    if sp.issparse(rows):
+    if is_sparse(rows):
         return np.asarray(rows.sum(axis=0)).ravel()
     return rows.sum(axis=0)
 

@@ -111,7 +111,7 @@ class TermContextIndex:
             self._n_contexts[term] = len(contexts)
             documents.append([token for ctx in contexts for token in ctx])
         vectorizer = TfidfVectorizer(stop_language=None)
-        matrix = vectorizer.fit_transform(documents).toarray()
+        matrix = vectorizer.fit_transform(documents)
         self._rows = {key: matrix[i] for i, key in enumerate(keys)}
         return self
 

@@ -38,7 +38,7 @@ DIRECT_FEATURE_NAMES = (
 def _context_matrix(contexts: Sequence[Sequence[str]]) -> np.ndarray:
     """TF-IDF rows (unit norm) for the contexts; IDF damps background words."""
     vectorizer = TfidfVectorizer(stop_language=None)
-    return vectorizer.fit_transform([list(c) for c in contexts]).toarray()
+    return vectorizer.fit_transform([list(c) for c in contexts])
 
 
 def _cosine_and_bisection(

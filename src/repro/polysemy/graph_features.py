@@ -7,6 +7,10 @@ edges weight within-context co-occurrence.  For a monosemous term this
 graph is one dense community; for a polysemic term it splits into one
 community per sense — community structure, connectivity, and degree
 statistics capture that.
+
+Every metric is computed in numpy on the graph's CSR arrays: triangles
+by intersecting bit-packed neighbour rows, connected components by
+min-label propagation, communities by the native Louvain kernel.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from repro.clustering.louvain import (
     CSRGraph,
@@ -81,34 +83,70 @@ def _entropy(values: np.ndarray) -> float:
     return entropy / max_entropy if max_entropy > 0 else 0.0
 
 
-def _binary_adjacency(
-    n: int, rows: np.ndarray, cols: np.ndarray
-) -> sparse.csr_matrix:
-    """Unweighted ``n``-node scipy adjacency of the entries ``(rows, cols)``.
+#: Bytes of neighbour bitsets intersected per chunk of edges.
+_CHUNK_BYTES = 1 << 22
 
-    Callers pass the entries without self-loops: triangle counts and
-    connectivity follow the networkx convention of ignoring self-loops
-    and edge weights.
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each ``uint64`` (SWAR; numpy < 2 has no bitwise_count)."""
+    words = words - ((words >> np.uint64(1)) & _M1)
+    words = (words & _M2) + ((words >> np.uint64(2)) & _M2)
+    words = (words + (words >> np.uint64(4))) & _M4
+    return (words * _H01) >> np.uint64(56)
+
+
+def _double_triangles(
+    n: int, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Each node's doubled triangle count in the graph of ``(rows, cols)``.
+
+    The entries are the directed pairs of an undirected graph without
+    self-loops (every edge stored both ways, none twice).  Each node's
+    neighbours are packed into a bitset row; one popcount of
+    ``row[r] & row[c]`` per edge counts the common neighbours of ``r``
+    and ``c``, and adding it to both ends counts each of a node's
+    triangles twice — the row sums of ``(A @ A) ∘ A``, the quantity
+    networkx's ``_triangles_and_degree_iter`` yields.
     """
-    return sparse.csr_matrix(
-        (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(n, n)
+    n_words = -(-n // 64)
+    packed = np.zeros((n, n_words * 8), dtype=np.uint8)
+    np.bitwise_or.at(
+        packed,
+        (rows, cols >> 3),
+        np.left_shift(1, cols & 7).astype(np.uint8),
     )
+    words = packed.view(np.uint64)
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
+    common = np.empty(rows.size, dtype=np.float64)
+    step = max(1, _CHUNK_BYTES // (n_words * 8))
+    for start in range(0, rows.size, step):
+        stop = start + step
+        shared = words[rows[start:stop]] & words[cols[start:stop]]
+        common[start:stop] = _popcount(shared).sum(axis=1)
+    # (An empty ``weights`` makes bincount return int64: cast.)
+    return (
+        np.bincount(rows, weights=common, minlength=n)
+        + np.bincount(cols, weights=common, minlength=n)
+    ).astype(np.float64)
 
 
 def _clustering_and_transitivity(
-    adjacency: sparse.csr_matrix,
+    n: int, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[float, float]:
     """(average clustering coefficient, transitivity) of a binary graph.
 
-    ``(A @ A) ∘ A`` row sums give each node's doubled triangle count —
-    the same quantity networkx's ``_triangles_and_degree_iter`` yields —
-    so both metrics come from one sparse matmul instead of a
-    per-node Python neighbourhood scan.
+    ``(rows, cols)`` are its entries as for :func:`_double_triangles`.
+    Triangle counts and degrees are integers held exactly in float64,
+    so both metrics equal the sparse-matmul formulation's.
     """
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    double_triangles = np.asarray(
-        (adjacency @ adjacency).multiply(adjacency).sum(axis=1)
-    ).ravel()
+    degrees = np.bincount(rows, minlength=n).astype(np.float64)
+    double_triangles = _double_triangles(n, rows, cols)
     pairs = degrees * (degrees - 1.0)
     coefficients = np.divide(
         double_triangles,
@@ -125,6 +163,25 @@ def _clustering_and_transitivity(
     return avg_clustering, transitivity
 
 
+def _component_labels(
+    n: int, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Each node's component label: the smallest node id it reaches.
+
+    Min-label propagation over the directed entries ``(rows, cols)``
+    (every edge stored both ways), with pointer jumping so long paths
+    converge in few rounds.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        lowered = labels.copy()
+        np.minimum.at(lowered, rows, labels[cols])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, labels):
+            return labels
+        labels = lowered
+
+
 def graph_features(
     graph: CSRGraph,
     *,
@@ -132,8 +189,8 @@ def graph_features(
 ) -> np.ndarray:
     """The 12-dimensional feature vector of a term's context graph.
 
-    Every metric is computed natively on the CSR adjacency (sparse
-    matmul triangles, union-find components, Louvain communities).
+    Every metric is computed natively on the CSR adjacency (bitset
+    triangles, label-propagation components, Louvain communities).
     Counts, degrees and density follow the networkx conventions the
     vectors were first defined with (a self-loop adds 2 to its node's
     degree), so cached vectors stay valid.
@@ -162,22 +219,24 @@ def graph_features(
         if n_nodes > 1 and n_edges > 0
         else 0.0
     )
-    adjacency = _binary_adjacency(
-        n_nodes, rows[~loops], graph.indices[~loops]
-    )
+    plain_rows = rows[~loops]
+    plain_cols = graph.indices[~loops].astype(np.int64)
     mean_degree = float(degrees.mean())
     degree_entropy = _entropy(degrees)
     if n_nodes > 1:
-        avg_clustering, transitivity = _clustering_and_transitivity(adjacency)
+        avg_clustering, transitivity = _clustering_and_transitivity(
+            n_nodes, plain_rows, plain_cols
+        )
     else:
         avg_clustering, transitivity = 0.0, 0.0
     if n_nodes <= 2:
         transitivity = 0.0
 
-    n_components, component_labels = _csgraph_components(
-        adjacency, directed=False
+    component_labels = _component_labels(n_nodes, plain_rows, plain_cols)
+    n_components = int(
+        np.count_nonzero(component_labels == np.arange(n_nodes))
     )
-    component_sizes = np.bincount(component_labels, minlength=n_components)
+    component_sizes = np.bincount(component_labels, minlength=n_nodes)
     largest_fraction = float(component_sizes.max()) / n_nodes
 
     if n_edges > 0:

@@ -95,7 +95,7 @@ class SenseInducer:
         k: int,
     ) -> list[tuple[str, ...]]:
         vectorizer = TfidfVectorizer(stop_language=None)
-        matrix = vectorizer.fit_transform([list(c) for c in contexts]).toarray()
+        matrix = vectorizer.fit_transform([list(c) for c in contexts])
         names = vectorizer.feature_names()
         out = []
         for sense in range(k):

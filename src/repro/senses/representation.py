@@ -30,7 +30,7 @@ def bow_representation(contexts: Sequence[Sequence[str]]) -> np.ndarray:
     if not contexts:
         raise ValidationError("need at least one context to represent")
     vectorizer = TfidfVectorizer(stop_language=None)
-    return vectorizer.fit_transform([list(c) for c in contexts]).toarray()
+    return vectorizer.fit_transform([list(c) for c in contexts])
 
 
 def graph_representation(

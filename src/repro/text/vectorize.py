@@ -1,9 +1,15 @@
-"""Bag-of-words and TF-IDF vectorisation over scipy sparse matrices.
+"""Bag-of-words and TF-IDF vectorisation in numpy.
 
 Steps II–IV of the workflow represent a term's contexts as vectors and
 compare them with cosine similarity; these vectorisers are the single
 place that mapping happens, so every stage agrees on weighting and
 normalisation conventions.
+
+Counts are gathered as a CSR triple (``indptr``/``indices``/``data``
+numpy arrays), weighted and row-normalised on ``data`` and returned as
+a dense ``float64`` matrix.  The reductions follow scipy.sparse's
+(row sums of squares by ``np.add.reduceat`` over the non-empty rows),
+so the floats are the ones a ``csr_matrix`` pipeline produces.
 """
 
 from __future__ import annotations
@@ -12,19 +18,26 @@ import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import NotFittedError
 from repro.text.stopwords import stopwords_for
 from repro.text.vocabulary import Vocabulary
 
 
-def _normalize_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    """L2-normalise each row in place; zero rows are left untouched."""
-    norms = np.sqrt(matrix.multiply(matrix).sum(axis=1)).A.ravel()
+def _normalize_rows(
+    indptr: np.ndarray, rows: np.ndarray, data: np.ndarray
+) -> np.ndarray:
+    """L2-normalise the CSR rows' ``data``; zero rows are left untouched.
+
+    ``rows`` is each entry's row index.
+    """
+    squares = np.zeros(indptr.size - 1, dtype=np.float64)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    if nonempty.size:
+        squares[nonempty] = np.add.reduceat(data * data, indptr[nonempty])
+    norms = np.sqrt(squares)
     norms[norms == 0.0] = 1.0
-    inverse = sp.diags(1.0 / norms)
-    return (inverse @ matrix).tocsr()
+    return data * (1.0 / norms)[rows]
 
 
 class BowVectorizer:
@@ -115,7 +128,7 @@ class BowVectorizer:
 
     # -- transform ---------------------------------------------------------------
 
-    def transform(self, documents: Iterable[Sequence[str]]) -> sp.csr_matrix:
+    def transform(self, documents: Iterable[Sequence[str]]) -> np.ndarray:
         """Vectorise tokenised ``documents`` into a (n_docs, n_vocab) matrix."""
         vocab = self._require_fitted()
         stop = self._stop_set()
@@ -133,21 +146,24 @@ class BowVectorizer:
                 indices.append(idx)
                 data.append(1.0 if self.binary else counts[idx])
             indptr.append(len(indices))
-        matrix = sp.csr_matrix(
-            (np.asarray(data), np.asarray(indices, dtype=np.int32), indptr),
-            shape=(len(indptr) - 1, len(vocab)),
-        )
-        matrix = self._weight(matrix)
+        row_ptr = np.asarray(indptr, dtype=np.int64)
+        n_rows = row_ptr.size - 1
+        rows = np.repeat(np.arange(n_rows), np.diff(row_ptr))
+        columns = np.asarray(indices, dtype=np.int64)
+        values = self._weight(np.asarray(data, dtype=np.float64), columns)
         if self.normalize:
-            matrix = _normalize_rows(matrix)
+            values = _normalize_rows(row_ptr, rows, values)
+        matrix = np.zeros((n_rows, len(vocab)), dtype=np.float64)
+        matrix[rows, columns] = values
         return matrix
 
-    def fit_transform(self, documents: Sequence[Sequence[str]]) -> sp.csr_matrix:
+    def fit_transform(self, documents: Sequence[Sequence[str]]) -> np.ndarray:
         """Fit on ``documents`` then transform them."""
         return self.fit(documents).transform(documents)
 
-    def _weight(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
-        return matrix
+    def _weight(self, data: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Weighted ``data`` of the CSR entries in columns ``indices``."""
+        return data
 
     def feature_names(self) -> list[str]:
         """Vocabulary tokens in column order."""
@@ -187,11 +203,10 @@ class TfidfVectorizer(BowVectorizer):
         n = self.n_documents_
         return np.log((1.0 + n) / (1.0 + self.document_frequency_)) + 1.0
 
-    def _weight(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
-        matrix = matrix.astype(np.float64)
+    def _weight(self, data: np.ndarray, indices: np.ndarray) -> np.ndarray:
         if self.sublinear_tf:
-            matrix.data = 1.0 + np.log(matrix.data)
-        return (matrix @ sp.diags(self.idf())).tocsr()
+            data = 1.0 + np.log(data)
+        return data * self.idf()[indices]
 
 
 def idf_weight(n_documents: int, document_frequency: int) -> float:

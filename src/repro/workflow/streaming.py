@@ -305,14 +305,21 @@ class StreamingEnricher:
     def _changed_terms(
         self, documents: list[Document], universe: list[str]
     ) -> set[str]:
-        """Known terms whose postings the delta documents perturb."""
+        """Known terms whose postings the delta documents perturb.
+
+        A term counts as changed when the delta holds any occurrence of
+        it, including one inside a longer known term: a term's Step II
+        contexts are its own occurrences (not only those where it is the
+        longest match), so a nested occurrence changes its vectors too.
+        """
         from repro.corpus.index import CorpusIndex
 
         delta_index = CorpusIndex(documents)
-        records = delta_index.occurrence_records(
-            universe, window=self.enricher.feature_extractor.window
-        )
-        return {term for term in universe if records.get(term)}
+        return {
+            term
+            for term in universe
+            if term.split() and delta_index.term_frequency(term) > 0
+        }
 
     def _carry_cache_forward(
         self, base_fp: str, new_fp: str, unchanged_terms: list[str]

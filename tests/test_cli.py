@@ -69,6 +69,48 @@ class TestImportFootprint:
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    def test_entry_points_do_not_import_scipy(self):
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.workflow.pipeline, repro.service.server\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, f'scipy was imported: {loaded}'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_enrich_runs_with_scipy_blocked(self, tmp_path):
+        """``repro enrich`` needs no scipy: same table with it unimportable."""
+        assert main(
+            ["generate", "--output", str(tmp_path), "--concepts", "8",
+             "--docs-per-concept", "2", "--seed", "5"]
+        ) == 0
+        argv = [
+            "enrich",
+            "--ontology", str(tmp_path / "ontology.json"),
+            "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--candidates", "5",
+        ]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        outputs = []
+        for prelude in ("", "sys.modules['scipy'] = None\n"):
+            code = (
+                "import sys\n"
+                + prelude
+                + "from repro.cli import main\n"
+                + f"sys.exit(main({argv!r}))\n"
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0].strip()
+        assert outputs[1] == outputs[0]
+
 
 class TestParser:
     def test_requires_command(self):

@@ -6,6 +6,8 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from repro.clustering.louvain import CSRGraph
 from repro.corpus.corpus import Corpus
@@ -15,6 +17,8 @@ from repro.polysemy.direct_features import DIRECT_FEATURE_NAMES, direct_features
 from repro.polysemy.features import ALL_FEATURE_NAMES, PolysemyFeatureExtractor
 from repro.polysemy.graph_features import (
     GRAPH_FEATURE_NAMES,
+    _clustering_and_transitivity,
+    _component_labels,
     _entropy,
     build_context_graph,
     graph_features,
@@ -240,6 +244,100 @@ class TestContextGraphMatchesReference:
             graph_features(graph, seed=seed).tobytes()
             == reference_graph_features(reference, seed).tobytes()
         )
+
+
+def scipy_clustering_and_transitivity(adjacency):
+    """The sparse-matmul formulation the bitset kernel replaced."""
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    double_triangles = np.asarray(
+        (adjacency @ adjacency).multiply(adjacency).sum(axis=1)
+    ).ravel()
+    pairs = degrees * (degrees - 1.0)
+    coefficients = np.divide(
+        double_triangles,
+        pairs,
+        out=np.zeros_like(double_triangles),
+        where=pairs > 0,
+    )
+    total_triangles = float(double_triangles.sum())
+    transitivity = (
+        total_triangles / float(pairs.sum()) if total_triangles > 0 else 0.0
+    )
+    return float(coefficients.mean()), transitivity
+
+
+@st.composite
+def random_graphs(draw):
+    """A CSRGraph on 1-40 nodes: isolated nodes, self-loops, any density."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(
+        st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(
+                lambda pair: tuple(sorted(pair))
+            ),
+            max_size=3 * n,
+        )
+    )
+    rows = np.array([i for i, __ in sorted(pairs)], dtype=np.int64)
+    cols = np.array([j for __, j in sorted(pairs)], dtype=np.int64)
+    return CSRGraph.from_edges(n, rows, cols, np.ones(rows.size))
+
+
+class TestGraphMetricsMatchScipy:
+    """Bitset triangles and label-propagation components vs scipy."""
+
+    @staticmethod
+    def plain_entries(graph):
+        rows = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+        keep = rows != graph.indices
+        return rows[keep], graph.indices[keep]
+
+    @given(random_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_metrics_are_bit_identical(self, graph):
+        n = graph.n_nodes
+        rows, cols = self.plain_entries(graph)
+        adjacency = sparse.csr_matrix(
+            (np.ones(rows.size), (rows, cols)), shape=(n, n)
+        )
+        expected = scipy_clustering_and_transitivity(adjacency)
+        got = _clustering_and_transitivity(n, rows, cols)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+        n_components, labels = connected_components(adjacency, directed=False)
+        got_labels = _component_labels(n, rows, cols)
+        # Same partition: the two labelings map one-to-one.
+        pairs = set(zip(labels.tolist(), got_labels.tolist()))
+        assert len(pairs) == n_components == len(set(got_labels.tolist()))
+
+        names = list(GRAPH_FEATURE_NAMES)
+        vec = graph_features(graph, seed=0)
+        assert vec[names.index("n_components")] == float(n_components)
+        assert vec[names.index("largest_component_fraction")] == (
+            float(np.bincount(labels).max()) / n
+        )
+        if n > 1:
+            assert vec[names.index("avg_clustering")] == expected[0]
+        if n > 2:
+            assert vec[names.index("transitivity")] == expected[1]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_graphs(self, n):
+        loop = CSRGraph.from_edges(n, np.array([0]), np.array([0]), np.ones(1))
+        vec = graph_features(loop)
+        names = list(GRAPH_FEATURE_NAMES)
+        assert vec[names.index("n_components")] == float(n)
+        assert vec[names.index("avg_clustering")] == 0.0
+        assert vec[names.index("transitivity")] == 0.0
+
+    def test_long_path_is_one_component(self):
+        n = 300
+        path = CSRGraph.from_edges(
+            n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1)
+        )
+        rows, cols = self.plain_entries(path)
+        labels = _component_labels(n, rows, cols)
+        assert np.all(labels == 0)
 
 
 class TestExtractor:

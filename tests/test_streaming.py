@@ -13,9 +13,11 @@ import pytest
 
 from repro.corpus.document import Document
 from repro.errors import CorpusError, ValidationError
+from repro.polysemy.cache import FeatureCache
+from repro.polysemy.dataset import dataset_config_fingerprint
 from repro.scenarios import make_enrichment_scenario
 from repro.workflow.config import EnrichmentConfig
-from repro.workflow.pipeline import OntologyEnricher
+from repro.workflow.pipeline import OntologyEnricher, detect_config_fingerprint
 from repro.workflow.report import EnrichmentReport, TermReport
 from repro.workflow.streaming import ReportDiff, StreamingEnricher
 
@@ -138,6 +140,85 @@ class TestDiffComposition:
         document = story["loud"].to_dict()
         assert json.loads(json.dumps(document)) == document
         assert document["n_recomputed"] == story["loud"].n_recomputed
+
+
+def nested_term_pair(terms):
+    """(short, long): the first known term that starts a longer known term.
+
+    At the shared start position the longer term is the longest match,
+    so an occurrence of ``long`` holds ``short`` only as a nested match.
+    """
+    for long in sorted(terms):
+        for short in sorted(terms):
+            if len(short.split()) < len(long.split()) and (
+                long.split()[: len(short.split())] == short.split()
+            ):
+                return short, long
+    raise AssertionError("scenario has no nested known terms")
+
+
+def cached_vectors(enricher, fingerprint, terms):
+    """Both key families' cached vectors of ``terms`` under ``fingerprint``."""
+    extractor = enricher.feature_extractor
+    keys = [
+        FeatureCache.key(fingerprint, term, config_fp)
+        for config_fp in (
+            detect_config_fingerprint(extractor, enricher.config),
+            dataset_config_fingerprint(extractor),
+        )
+        for term in terms
+    ]
+    return enricher.feature_cache.lookup_many(keys, record=False)
+
+
+class TestNestedTerms:
+    def test_term_inside_a_longer_term_counts_as_changed(self):
+        scenario = fresh_scenario()
+        streamer = StreamingEnricher(
+            scenario.ontology, scenario.corpus, pos_lexicon=scenario.pos_lexicon
+        )
+        universe = ["alpha", "alpha beta", "beta gamma delta", "omega"]
+        delta = [Document("nested", [["alpha", "beta", "x"]])]
+        assert streamer._changed_terms(delta, universe) == {
+            "alpha",
+            "alpha beta",
+        }
+
+    def test_nested_delta_composes_to_the_from_scratch_report(self):
+        """A term seen only inside a longer term is re-featurised.
+
+        Its carried-forward vector would be stale: the delta adds to its
+        Step II contexts.  Every vector the streamer holds under the
+        grown fingerprint must equal a from-scratch run's.
+        """
+        scenario = fresh_scenario()
+        streamer = StreamingEnricher(
+            scenario.ontology, scenario.corpus, pos_lexicon=scenario.pos_lexicon
+        )
+        baseline = streamer.baseline()
+        universe = sorted(
+            {report.term for report in baseline.terms}
+            | set(scenario.ontology.terms())
+        )
+        short, long = nested_term_pair(universe)
+        document = mentioning_document(long, doc_id="stream-nested")
+        diff = streamer.add_documents([document])
+        assert short in diff.changed_terms
+
+        fresh = fresh_scenario()
+        fresh.corpus.add(mentioning_document(long, doc_id="stream-nested"))
+        scratch_enricher = OntologyEnricher(
+            fresh.ontology, pos_lexicon=fresh.pos_lexicon
+        )
+        scratch = scratch_enricher.enrich(fresh.corpus)
+        assert structural(diff.apply(baseline)) == structural(scratch)
+
+        fingerprint = streamer.fingerprint
+        streamed = cached_vectors(streamer.enricher, fingerprint, universe)
+        expected = cached_vectors(scratch_enricher, fingerprint, universe)
+        assert set(streamed) == set(expected)
+        for key, vector in expected.items():
+            assert streamed[key].tobytes() == vector.tobytes(), key
 
 
 class TestDeltaValidation:
